@@ -36,10 +36,8 @@ from .errors import (
 from .families import (
     IntegrandFamily,
     ParameterPair,
-    log_derivative,
     make_left_family,
     make_right_family,
-    shifted_ratio,
 )
 from .integration import (
     LogCombination,
@@ -48,7 +46,6 @@ from .integration import (
     factorize,
     integrate_01,
     log_of_rational,
-    logcomb_arith,
     logcomb_to_float,
     partial_fractions,
     rational_roots,
@@ -110,9 +107,7 @@ __all__ = [
     "discover",
     "factorize",
     "integrate_01",
-    "log_derivative",
     "log_of_rational",
-    "logcomb_arith",
     "logcomb_to_float",
     "make_left_family",
     "make_right_family",
@@ -129,7 +124,6 @@ __all__ = [
     "required_degree_bound",
     "reverify_proof",
     "rows_to_csv",
-    "shifted_ratio",
     "solve_nullspace",
     "squarefree_decomposition",
     "sturm_root_count",

@@ -34,6 +34,33 @@ def _rational(text: str) -> Fraction:
         )
 
 
+_OPTIONS = {
+    "a": dict(type=_rational, required=True, help="parameter a (rational)"),
+    "b": dict(type=_rational, required=True, help="parameter b (rational)"),
+    "n-max": dict(type=int, default=8, help="largest n handled (default 8)"),
+    "mode": dict(
+        choices=("verify", "discover"),
+        default="verify",
+        help="use the closed-form certificates or re-derive them (default verify)",
+    ),
+    "precision-bits": dict(type=int, default=256, help="working float precision (default 256)"),
+    "tol": dict(type=float, default=1e-12, help="quadrature tolerance (default 1e-12)"),
+    "out": dict(default=None, help="output file path"),
+    "max-order": dict(type=int, default=2, help="largest recurrence order tried (default 2)"),
+    "max-cert-degree": dict(
+        type=int, default=4, help="largest certificate numerator degree tried (default 4)"
+    ),
+}
+
+# each subcommand accepts exactly the options it reads
+_COMMANDS = {
+    "prove": ("run the full proof pipeline", "a b n-max mode out max-order max-cert-degree"),
+    "derive": ("discover recurrence and certificates", "a b max-order max-cert-degree"),
+    "approx": ("emit the approximant table as CSV", "a b n-max precision-bits out"),
+    "quad": ("compare exact values against quadrature", "a b n-max tol out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telescopic",
@@ -43,56 +70,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--a", type=_rational, required=True, help="parameter a (rational)")
-    common.add_argument("--b", type=_rational, required=True, help="parameter b (rational)")
-    common.add_argument("--n-max", type=int, default=8, help="largest n handled (default 8)")
-    common.add_argument(
-        "--mode",
-        choices=("verify", "discover"),
-        default="verify",
-        help="use the closed-form certificates or re-derive them (default verify)",
-    )
-    common.add_argument(
-        "--precision-bits", type=int, default=256, help="working float precision (default 256)"
-    )
-    common.add_argument(
-        "--tol", type=float, default=1e-12, help="quadrature tolerance (default 1e-12)"
-    )
-    common.add_argument("--out", default=None, help="output file path")
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed recorded for reproducible sweeps"
-    )
-    common.add_argument(
-        "--max-order", type=int, default=2, help="largest recurrence order tried (default 2)"
-    )
-    common.add_argument(
-        "--max-cert-degree",
-        type=int,
-        default=4,
-        help="largest certificate numerator degree tried (default 4)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("prove", parents=[common], help="run the full proof pipeline")
-    sub.add_parser("derive", parents=[common], help="discover recurrence and certificates")
-    sub.add_parser("approx", parents=[common], help="emit the approximant table as CSV")
-    sub.add_parser("quad", parents=[common], help="compare exact values against quadrature")
+    for command, (text, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for flag in flags.split():
+            command_parser.add_argument(f"--{flag}", **_OPTIONS[flag])
     return parser
+
+
+# (option name, valid(value), message) for each option that has a bound
+_BOUNDS = (
+    ("n_max", lambda v: v >= 0, "--n-max must be nonnegative"),
+    ("precision_bits", lambda v: v >= 64, "--precision-bits must be at least 64"),
+    ("tol", lambda v: v >= 1e-14, "--tol must be at least 1e-14"),
+    ("max_order", lambda v: v >= 1, "--max-order must be at least 1"),
+    ("max_cert_degree", lambda v: v >= 1, "--max-cert-degree must be at least 1"),
+)
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ParameterPair:
     if not (args.a > args.b > 0):
         parser.error(f"requires a > b > 0 (got a={args.a}, b={args.b})")
-    if args.n_max < 0:
-        parser.error("--n-max must be nonnegative")
-    if args.precision_bits < 64:
-        parser.error("--precision-bits must be at least 64")
-    if args.tol < 1e-14:
-        parser.error("--tol must be at least 1e-14")
-    if args.max_order < 1:
-        parser.error("--max-order must be at least 1")
-    if args.max_cert_degree < 1:
-        parser.error("--max-cert-degree must be at least 1")
+    for name, valid, message in _BOUNDS:
+        if name in vars(args) and not valid(getattr(args, name)):
+            parser.error(message)
     return ParameterPair(args.a, args.b)
 
 
@@ -122,10 +123,14 @@ def cmd_prove(params: ParameterPair, args: argparse.Namespace) -> int:
     for n, left, right in proof.base_cases:
         mark = "==" if left == right else "!="
         print(f"base case n={n}: left = {left}  {mark}  right = {right}")
-    if proof.extra_checks:
-        top = max(n for n, _, _ in proof.extra_checks)
-        print(f"direct left/right comparisons: n = 0..{top}, all equal")
-    print(f"substitution check (n<=5): {'pass' if proof.substitution_check else 'FAIL'}")
+    checks = proof.extra_checks
+    unequal = [n for n, left, right in checks if left != right]
+    if checks:
+        status = "all equal" if not unequal else f"unequal at n = {unequal}"
+        print(f"direct left/right comparisons: n = 0..{checks[-1][0]}, {status}")
+    # the substitution check runs only once every direct comparison holds
+    if checks and checks[-1][0] == args.n_max and not unequal:
+        print(f"substitution check (n<=5): {'pass' if proof.substitution_check else 'FAIL'}")
     if proof.proved:
         print("verdict: proved")
     else:

@@ -56,19 +56,16 @@ def _to_ratfunc(value) -> RatFunc:
 
 @dataclass(frozen=True)
 class IntegrandFamily:
-    """F(n, x) = cofactor(x) * ratio(x)^n over the fixed domain [0, 1]."""
+    """F(n, x) = cofactor(x) * ratio(x)^n, integrated over [0, 1]."""
 
     cofactor: RatFunc
     ratio: RatFunc
-    domain: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
 
     def __post_init__(self):
         object.__setattr__(self, "cofactor", _to_ratfunc(self.cofactor))
         object.__setattr__(self, "ratio", _to_ratfunc(self.ratio))
         if self.cofactor.is_zero() or self.ratio.is_zero():
             raise ValueError("cofactor and ratio must be nonzero")
-        if self.domain != (0, 1):
-            raise ValueError("the integration domain is fixed to [0, 1]")
         for part in (self.cofactor, self.ratio):
             if _has_root_in_unit_interval(part.den):
                 raise ValueError(
@@ -112,11 +109,3 @@ def make_right_family(params: ParameterPair) -> IntegrandFamily:
     a, b = params.a, params.b
     q = Poly([(a + 1) * b, a - b])
     return IntegrandFamily(RatFunc(Poly.one(), q), RatFunc(Poly([0, 1, -1]), q))
-
-
-def log_derivative(fam: IntegrandFamily, n: int) -> RatFunc:
-    return fam.log_derivative(n)
-
-
-def shifted_ratio(fam: IntegrandFamily, k: int) -> RatFunc:
-    return fam.shifted_ratio(k)

@@ -158,17 +158,6 @@ def log_of_rational(value: Fraction) -> LogCombination:
     return LogCombination(0, terms)
 
 
-def logcomb_arith(lhs: LogCombination, rhs, op: str) -> LogCombination:
-    """Named-op form: op in {"add", "sub", "scale"} (rhs a Rational for scale)."""
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "scale":
-        return lhs.scale(rhs)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def logcomb_to_float(value: LogCombination, precision_bits: int) -> mpmath.mpf:
     """High-precision real value, correctly rounded to ~precision_bits.
 

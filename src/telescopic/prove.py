@@ -24,7 +24,8 @@ An independent change-of-variables check (x = b(1-u)/(b+u) maps one
 integrand family onto the other exactly) and direct left/right
 integration at extra n values are run as defense in depth.  Every
 sub-step failure is converted into a failed verdict naming the step;
-there is no silent pass.
+there is no silent pass.  `prove_identity` and `reverify_proof` run
+the one check sequence in `_check_sequence`.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class ProofObject:
     @property
     def proved(self) -> bool:
         return self.verdict == "proved"
-
-    @property
-    def n_checked(self) -> int:
-        return len(self.extra_checks)
 
 
 def boundary_vanishing_check(
@@ -151,6 +148,114 @@ def _leading_coefficient_degeneracy(rec: Recurrence) -> str | None:
     return None
 
 
+def _check_sequence(
+    params: ParameterPair,
+    rec: Recurrence,
+    left_cert: Certificate,
+    right_cert: Certificate,
+    extra_n: int,
+) -> ProofObject:
+    """Run every check of the proof, in order, on one recurrence and its
+    two certificates; the first failing check names the verdict.
+
+    Both families are rebuilt from `params`, so a certificate recorded
+    for other parameters cannot pass.  Each n is integrated once: the
+    base cases are the first `rec.order` values and the direct
+    comparisons the first `extra_n + 1`.
+    """
+    left = make_left_family(params)
+    right = make_right_family(params)
+    values: list[tuple[int, LogCombination, LogCombination]] = []
+    substitution_ok = False
+
+    def finish(reason: str | None = None) -> ProofObject:
+        base_cases = tuple(values[: rec.order])
+        # the direct comparisons start only once every base case holds
+        base_ok = len(base_cases) == rec.order and all(l == r for _, l, r in base_cases)
+        return ProofObject(
+            params=params,
+            left_family=left,
+            right_family=right,
+            recurrence=rec,
+            left_certificate=left_cert,
+            right_certificate=right_cert,
+            base_cases=base_cases,
+            extra_checks=tuple(values[: extra_n + 1]) if base_ok else (),
+            substitution_check=substitution_ok,
+            verdict="proved" if reason is None else "failed",
+            failure_reason=reason,
+        )
+
+    try:
+        # 1. telescoping identities, proved for all n by the degree bound
+        bound = max(
+            required_degree_bound(rec, left_cert),
+            required_degree_bound(rec, right_cert),
+        )
+        if not verify_telescoping_all_n(left, rec, left_cert, bound):
+            return finish("telescoping verification failed (left family)")
+        if not verify_telescoping_all_n(right, rec, right_cert, bound):
+            return finish("telescoping verification failed (right family)")
+
+        # 2. boundary terms vanish for every n: structurally (each part is
+        # finite and zero at the endpoints) and by direct evaluation
+        for side, fam, cert in (
+            ("left", left, left_cert),
+            ("right", right, right_cert),
+        ):
+            if not cert.satisfies_boundary_invariant():
+                return finish(f"certificate boundary invariant violated ({side})")
+            if not all(
+                boundary_vanishing_check(fam, cert, n) for n in range(bound + 1)
+            ):
+                return finish(f"boundary terms do not vanish ({side} family)")
+
+        # 3. forward propagation must never divide by zero
+        degeneracy = _leading_coefficient_degeneracy(rec)
+        if degeneracy is not None:
+            return finish(degeneracy)
+
+        # 4. exact structural equality: base cases, then direct comparison
+        # at extra n as defense in depth
+        for n in range(max(rec.order, extra_n + 1)):
+            l_val = integrate_01(left.at(n))
+            r_val = integrate_01(right.at(n))
+            values.append((n, l_val, r_val))
+            if l_val != r_val:
+                if n < rec.order:
+                    return finish(f"base case mismatch at n={n}")
+                return finish(f"direct comparison mismatch at n={n}")
+
+        # 5. independent change-of-variables proof
+        substitution_ok = all(
+            verify_substitution_proof(params, n)
+            for n in range(SUBSTITUTION_CHECK_MAX_N + 1)
+        )
+        if not substitution_ok:
+            return finish("substitution check failed")
+
+        return finish()
+    except TelescopicError as exc:
+        return finish(str(exc))
+
+
+def _unproved(params: ParameterPair, reason: str) -> ProofObject:
+    """A failed proof that never reached a recurrence and certificates."""
+    return ProofObject(
+        params=params,
+        left_family=make_left_family(params),
+        right_family=make_right_family(params),
+        recurrence=None,
+        left_certificate=None,
+        right_certificate=None,
+        base_cases=(),
+        extra_checks=(),
+        substitution_check=False,
+        verdict="failed",
+        failure_reason=reason,
+    )
+
+
 def prove_identity(
     params: ParameterPair,
     mode: str = "verify",
@@ -164,169 +269,50 @@ def prove_identity(
     certificates; mode "discover" re-derives them from scratch on each
     family and requires the two normalized recurrences to coincide.
     """
-    if mode == "verify_paper_certificates":
-        mode = "verify"
     if mode not in ("verify", "discover"):
         raise ValueError(f"mode must be 'verify' or 'discover', got {mode!r}")
     if extra_n < 0:
         raise ValueError("extra_n must be nonnegative")
-
-    left = make_left_family(params)
-    right = make_right_family(params)
-
-    state: dict = {
-        "recurrence": None,
-        "left_certificate": None,
-        "right_certificate": None,
-        "base_cases": (),
-        "extra_checks": (),
-        "substitution_check": False,
-    }
-
-    def finish(verdict: str, reason: str | None = None) -> ProofObject:
-        return ProofObject(
-            params=params,
-            left_family=left,
-            right_family=right,
-            recurrence=state["recurrence"],
-            left_certificate=state["left_certificate"],
-            right_certificate=state["right_certificate"],
-            base_cases=state["base_cases"],
-            extra_checks=state["extra_checks"],
-            substitution_check=state["substitution_check"],
-            verdict=verdict,
-            failure_reason=reason,
-        )
-
     try:
-        # 1. recurrence and certificates
         if mode == "verify":
             try:
                 rec = closed_form_recurrence(params)
             except ValueError:
-                return finish(
-                    "failed",
+                return _unproved(
+                    params,
                     "degenerate: leading recurrence coefficient (a-b)^2 vanishes",
                 )
-            left_cert, right_cert = closed_form_certificates(params)
+            certs = closed_form_certificates(params)
         else:
-            rec_left, left_cert = discover(left, max_order, max_cert_degree)
-            rec_right, right_cert = discover(right, max_order, max_cert_degree)
-            if rec_left != rec_right:
-                return finish(
-                    "failed",
-                    "discovered recurrences differ between the two families",
+            rec, left_cert = discover(
+                make_left_family(params), max_order, max_cert_degree
+            )
+            rec_right, right_cert = discover(
+                make_right_family(params), max_order, max_cert_degree
+            )
+            if rec != rec_right:
+                return _unproved(
+                    params, "discovered recurrences differ between the two families"
                 )
-            rec = rec_left
-        rec, (left_cert, right_cert) = normalize_pair(rec, (left_cert, right_cert))
-        state["recurrence"] = rec
-        state["left_certificate"] = left_cert
-        state["right_certificate"] = right_cert
-
-        # 2. telescoping identities, proved for all n by the degree bound
-        bound = max(
-            required_degree_bound(rec, left_cert),
-            required_degree_bound(rec, right_cert),
-        )
-        if not verify_telescoping_all_n(left, rec, left_cert, bound):
-            return finish("failed", "telescoping verification failed (left family)")
-        if not verify_telescoping_all_n(right, rec, right_cert, bound):
-            return finish("failed", "telescoping verification failed (right family)")
-
-        # 3. boundary terms vanish for every n: structurally (each part is
-        # finite and zero at the endpoints) and by direct evaluation
-        for side, fam, cert in (
-            ("left", left, left_cert),
-            ("right", right, right_cert),
-        ):
-            if not cert.satisfies_boundary_invariant():
-                return finish(
-                    "failed", f"certificate boundary invariant violated ({side})"
-                )
-            if not all(
-                boundary_vanishing_check(fam, cert, n) for n in range(bound + 1)
-            ):
-                return finish(
-                    "failed", f"boundary terms do not vanish ({side} family)"
-                )
-
-        # 4. forward propagation must never divide by zero
-        degeneracy = _leading_coefficient_degeneracy(rec)
-        if degeneracy is not None:
-            return finish("failed", degeneracy)
-
-        # 5. base cases, exact structural equality
-        base_cases = []
-        for n in range(rec.order):
-            l_val = integrate_01(left.at(n))
-            r_val = integrate_01(right.at(n))
-            base_cases.append((n, l_val, r_val))
-            state["base_cases"] = tuple(base_cases)
-            if l_val != r_val:
-                return finish("failed", f"base case mismatch at n={n}")
-
-        # 6. defense in depth: direct comparison at extra n
-        extra = []
-        for n in range(extra_n + 1):
-            l_val = integrate_01(left.at(n))
-            r_val = integrate_01(right.at(n))
-            extra.append((n, l_val, r_val))
-            state["extra_checks"] = tuple(extra)
-            if l_val != r_val:
-                return finish("failed", f"direct comparison mismatch at n={n}")
-
-        # 7. independent change-of-variables proof
-        substitution_ok = all(
-            verify_substitution_proof(params, n)
-            for n in range(SUBSTITUTION_CHECK_MAX_N + 1)
-        )
-        state["substitution_check"] = substitution_ok
-        if not substitution_ok:
-            return finish("failed", "substitution check failed")
-
-        return finish("proved")
+            certs = (left_cert, right_cert)
+        rec, (left_cert, right_cert) = normalize_pair(rec, certs)
     except TelescopicError as exc:
-        return finish("failed", str(exc))
+        return _unproved(params, str(exc))
+    return _check_sequence(params, rec, left_cert, right_cert, extra_n)
 
 
 def reverify_proof(proof: ProofObject) -> bool:
-    """Re-run every check recorded in a proof object; True iff it all
-    still holds (used to validate deserialized proofs)."""
-    if not proof.proved:
+    """True iff re-running the check sequence on the recorded recurrence
+    and certificates reproduces the proof object exactly (used to
+    validate deserialized proofs)."""
+    if not proof.proved or not proof.extra_checks:
         return False
     rec = proof.recurrence
     left_cert = proof.left_certificate
     right_cert = proof.right_certificate
     if rec is None or left_cert is None or right_cert is None:
         return False
-    bound = max(
-        required_degree_bound(rec, left_cert),
-        required_degree_bound(rec, right_cert),
-    )
-    if not verify_telescoping_all_n(proof.left_family, rec, left_cert, bound):
-        return False
-    if not verify_telescoping_all_n(proof.right_family, rec, right_cert, bound):
-        return False
-    if not (
-        left_cert.satisfies_boundary_invariant()
-        and right_cert.satisfies_boundary_invariant()
-    ):
-        return False
-    if _leading_coefficient_degeneracy(rec) is not None:
-        return False
-    covered = {n for n, _, _ in proof.base_cases}
-    if not set(range(rec.order)) <= covered:
-        return False
-    for n, l_val, r_val in proof.base_cases + proof.extra_checks:
-        if l_val != r_val:
-            return False
-        if integrate_01(proof.left_family.at(n)) != l_val:
-            return False
-        if integrate_01(proof.right_family.at(n)) != r_val:
-            return False
-    if not all(
-        verify_substitution_proof(proof.params, n)
-        for n in range(SUBSTITUTION_CHECK_MAX_N + 1)
-    ):
-        return False
-    return proof.substitution_check
+    # the rerun records n = 0..extra_n, so any other recorded n fails the
+    # comparison, and a forged large n costs no extra integrations
+    extra_n = len(proof.extra_checks) - 1
+    return _check_sequence(proof.params, rec, left_cert, right_cert, extra_n) == proof

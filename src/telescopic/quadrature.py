@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from scipy.special import roots_legendre
+from numpy.polynomial import legendre, polynomial as npoly
 
 from .errors import PoleError, ToleranceNotMetError
 from .polynomials import sturm_root_count
 from .ratfuncs import RatFunc
 
-_LOW_NODES, _LOW_WEIGHTS = roots_legendre(7)
-_HIGH_NODES, _HIGH_WEIGHTS = roots_legendre(15)
+_LOW_NODES, _LOW_WEIGHTS = legendre.leggauss(7)
+_HIGH_NODES, _HIGH_WEIGHTS = legendre.leggauss(15)
 
 DEFAULT_MAX_SUBDIVISIONS = 10**4
 

@@ -1,10 +1,18 @@
 """The command-line surface, driven in-process through main(argv)."""
 
+import dataclasses
 import json
 
 import pytest
 
-from telescopic import proof_from_json, reverify_proof
+from telescopic import (
+    LogCombination,
+    ParameterPair,
+    cli,
+    proof_from_json,
+    prove_identity,
+    reverify_proof,
+)
 from telescopic.cli import main
 
 
@@ -60,6 +68,36 @@ def test_prove_discover_mode(capsys):
     assert "verdict: proved" in out
 
 
+def test_prove_discover_exhaustion_skips_unrun_checks(capsys):
+    code, out, _ = run(
+        ["prove", "--a", "2", "--b", "1", "--mode", "discover", "--max-order", "1"],
+        capsys,
+    )
+    assert code == 1
+    assert "verdict: failed" in out
+    assert "no telescoping relation" in out
+    assert "substitution check" not in out
+    assert "direct left/right comparisons" not in out
+
+
+def test_prove_summary_reports_unequal_comparisons(monkeypatch, capsys):
+    proof = prove_identity(ParameterPair(2, 1), extra_n=3)
+    n, left, right = proof.extra_checks[-1]
+    broken = dataclasses.replace(
+        proof,
+        extra_checks=proof.extra_checks[:-1] + ((n, left, right + LogCombination(1)),),
+        substitution_check=False,
+        verdict="failed",
+        failure_reason=f"direct comparison mismatch at n={n}",
+    )
+    monkeypatch.setattr(cli, "prove_identity", lambda *args, **kwargs: broken)
+    code, out, _ = run(["prove", "--a", "2", "--b", "1", "--n-max", "3"], capsys)
+    assert code == 1
+    assert "direct left/right comparisons: n = 0..3, unequal at n = [3]" in out
+    assert "all equal" not in out
+    assert "substitution check" not in out
+
+
 # -- usage errors (exit code 2) ------------------------------------------------------
 
 
@@ -69,14 +107,17 @@ def test_prove_discover_mode(capsys):
         ["prove", "--a", "1", "--b", "2"],  # a <= b
         ["prove", "--a", "2", "--b", "0"],  # b <= 0
         ["prove", "--b", "1"],  # missing --a
-        ["prove", "--a", "2", "--b", "1", "--precision-bits", "8"],
-        ["prove", "--a", "2", "--b", "1", "--tol", "1e-15"],
+        ["approx", "--a", "2", "--b", "1", "--precision-bits", "8"],
+        ["quad", "--a", "2", "--b", "1", "--tol", "1e-15"],
         ["prove", "--a", "2", "--b", "1", "--n-max", "-1"],
         ["derive", "--a", "2", "--b", "1", "--max-order", "0"],
         ["derive", "--a", "2", "--b", "1", "--max-cert-degree", "0"],
         ["prove", "--a", "x", "--b", "1"],  # not a rational
         ["prove", "--a", "2", "--b", "1", "--mode", "psychic"],
         ["transmogrify", "--a", "2", "--b", "1"],
+        ["prove", "--a", "2", "--b", "1", "--seed", "1"],  # no such option
+        ["derive", "--a", "2", "--b", "1", "--n-max", "3"],  # not read by derive
+        ["prove", "--a", "2", "--b", "1", "--tol", "1e-6"],  # not read by prove
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -12,10 +12,8 @@ from telescopic import (
     ParameterPair,
     Poly,
     RatFunc,
-    log_derivative,
     make_left_family,
     make_right_family,
-    shifted_ratio,
 )
 
 
@@ -69,7 +67,6 @@ def test_log_derivative_is_derivative_over_value():
         for n in range(4):
             f = fam.at(n)
             assert fam.log_derivative(n) == f.derivative() / f
-            assert log_derivative(fam, n) == fam.log_derivative(n)
 
 
 def test_shifted_ratio_is_integrand_quotient():
@@ -78,7 +75,6 @@ def test_shifted_ratio_is_integrand_quotient():
         fam = make_right_family(random_params(rng))
         for k in range(4):
             assert fam.shifted_ratio(k) == fam.at(k + 2) / fam.at(2)
-            assert shifted_ratio(fam, k) == fam.ratio**k
 
 
 def test_ratio_vanishes_at_endpoints_always():
@@ -112,13 +108,6 @@ def test_construction_rejects_nonvanishing_ratio():
 def test_construction_rejects_zero_members():
     with pytest.raises(ValueError, match="nonzero"):
         IntegrandFamily(Poly.zero(), Poly([0, 1, -1]))
-
-
-def test_construction_rejects_other_domains():
-    with pytest.raises(ValueError, match="domain"):
-        IntegrandFamily(
-            Poly.one(), Poly([0, 1, -1]), domain=(Fraction(0), Fraction(2))
-        )
 
 
 def test_polynomial_arguments_are_lifted():

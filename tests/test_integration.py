@@ -19,7 +19,6 @@ from telescopic import (
     factorize,
     integrate_01,
     log_of_rational,
-    logcomb_arith,
     logcomb_to_float,
     make_left_family,
     make_right_family,
@@ -99,18 +98,6 @@ def test_log_of_rational_is_homomorphism():
         y = Fraction(rng.randint(1, 400), rng.randint(1, 400))
         assert log_of_rational(x * y) == log_of_rational(x) + log_of_rational(y)
         assert log_of_rational(x / y) == log_of_rational(x) - log_of_rational(y)
-
-
-def test_logcomb_arith_named_ops():
-    lam = log_of_rational(Fraction(4, 3))
-    # 3*log(4/3) - 6*log(2) + 3*log(3) = 0
-    v = logcomb_arith(lam.scale(3), LogCombination(0, {2: 6, 3: -3}), "sub")
-    assert v.is_zero()
-    assert logcomb_arith(lam, 0, "scale").is_zero()
-    r1 = LogCombination(-2, {2: 14, 3: -7})
-    assert logcomb_arith(r1, r1, "sub").is_zero()
-    with pytest.raises(ValueError):
-        logcomb_arith(lam, lam, "mul")
 
 
 def test_logcomb_vector_laws_randomized():

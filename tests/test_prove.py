@@ -1,6 +1,7 @@
 """The proof pipeline: boundary vanishing, exact propagation, the
 change-of-variables check, and full ProofObject runs in both modes."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,6 +24,8 @@ from telescopic import (
     log_of_rational,
     make_left_family,
     make_right_family,
+    proof_from_json,
+    proof_to_json,
     propagate_recurrence,
     prove_identity,
     reverify_proof,
@@ -128,7 +131,6 @@ def test_prove_identity_verify_mode_reference_pair():
     n0_left = proof.base_cases[0][1]
     assert n0_left == LogCombination(0, {2: 2, 3: -1})  # log(4/3)
     assert proof.base_cases[0][2] == n0_left
-    assert proof.n_checked == 6  # n = 0..extra_n
     assert proof.substitution_check
 
 
@@ -139,11 +141,6 @@ def test_prove_identity_discover_mode_reference_pair():
     assert proof.recurrence == verify.recurrence
     assert proof.left_certificate == verify.left_certificate
     assert proof.right_certificate == verify.right_certificate
-
-
-def test_prove_identity_accepts_long_mode_name():
-    proof = prove_identity(ParameterPair(2, 1), mode="verify_paper_certificates", extra_n=0)
-    assert proof.proved
 
 
 def test_prove_identity_rejects_unknown_mode():
@@ -207,3 +204,47 @@ def test_reverify_rejects_tampered_values():
     # the stored pairs still agree with each other, but not with the
     # freshly recomputed integrals
     assert not reverify_proof(tampered)
+
+
+def test_reverify_rejects_relabelled_params():
+    # a valid proof for (3, 1), relabelled as a proof for (2, 1): the
+    # families are rebuilt from the recorded params, so it must not pass
+    proof = prove_identity(ParameterPair(3, 1), extra_n=2)
+    relabelled = dataclasses.replace(proof, params=ParameterPair(2, 1))
+    assert reverify_proof(proof)
+    assert not reverify_proof(relabelled)
+    assert not reverify_proof(proof_from_json(proof_to_json(relabelled)))
+
+
+def test_each_n_is_integrated_once(monkeypatch):
+    import telescopic.prove as prove_module
+
+    seen = []
+
+    def counting(f):
+        seen.append(f)
+        return integrate_01(f)
+
+    monkeypatch.setattr(prove_module, "integrate_01", counting)
+    proof = prove_identity(ParameterPair(2, 1), extra_n=5)
+    assert proof.proved
+    assert [n for n, _, _ in proof.base_cases] == [0, 1]
+    assert [n for n, _, _ in proof.extra_checks] == list(range(6))
+    assert len(seen) == 2 * 6  # both families, n = 0..5
+
+
+def test_reverify_reruns_the_short_extra_range():
+    # extra_n = 0 checks fewer n directly than the order-2 base cases
+    proof = prove_identity(ParameterPair(2, 1), extra_n=0)
+    assert [n for n, _, _ in proof.base_cases] == [0, 1]
+    assert [n for n, _, _ in proof.extra_checks] == [0]
+    assert reverify_proof(proof_from_json(proof_to_json(proof)))
+
+
+def test_reverify_rejects_forged_check_index_without_integrating_it():
+    proof = prove_identity(ParameterPair(2, 1), extra_n=2)
+    _, l_val, r_val = proof.extra_checks[-1]
+    forged = dataclasses.replace(
+        proof, extra_checks=proof.extra_checks[:-1] + ((10**9, l_val, r_val),)
+    )
+    assert not reverify_proof(forged)

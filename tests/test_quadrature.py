@@ -1,11 +1,15 @@
 """Floating-point cross-checks: the adaptive Gauss pair on [0, 1]."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import telescopic
 from conftest import random_params
 from telescopic import (
     ParameterPair,
@@ -95,3 +99,13 @@ def test_tolerance_not_met_carries_best_result():
     assert result.error_estimate > 1e-12
     # the partial answer is still in the right ballpark
     assert abs(result.value - 6.908754779315) < 1.0
+
+
+def test_importing_the_package_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(telescopic.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", "import telescopic, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
