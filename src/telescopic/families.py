@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Poly, sturm_root_count, _to_fraction
+from .polynomials import Poly, _to_fraction, has_root_in_unit_interval
 from .ratfuncs import RatFunc
 
 
@@ -39,11 +39,6 @@ class ParameterPair:
 
     def __str__(self) -> str:
         return f"(a={self.a}, b={self.b})"
-
-
-def _has_root_in_unit_interval(p: Poly) -> bool:
-    # Sturm counts roots in (0, 1]; cover x=0 separately.
-    return p(0) == 0 or sturm_root_count(p, 0, 1) > 0
 
 
 def _to_ratfunc(value) -> RatFunc:
@@ -67,7 +62,7 @@ class IntegrandFamily:
         if self.cofactor.is_zero() or self.ratio.is_zero():
             raise ValueError("cofactor and ratio must be nonzero")
         for part in (self.cofactor, self.ratio):
-            if _has_root_in_unit_interval(part.den):
+            if has_root_in_unit_interval(part.den):
                 raise ValueError(
                     f"denominator {part.den} has a root in [0, 1]; "
                     "the integrals would diverge"

@@ -28,7 +28,13 @@ from .errors import (
     FactorBoundExceededError,
     NonRationalRootError,
 )
-from .polynomials import Poly, _to_fraction, squarefree_decomposition, sturm_root_count
+from .polynomials import (
+    Poly,
+    _int_coeffs,
+    _to_fraction,
+    has_root_in_unit_interval,
+    squarefree_decomposition,
+)
 from .ratfuncs import RatFunc
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -248,13 +254,9 @@ def _squarefree_rational_roots(g: Poly) -> tuple[list[Fraction], Poly]:
 def _one_rational_root(p: Poly) -> Fraction | None:
     if p[0] == 0:
         return Fraction(0)
-    ints = p.primitive()
-    scale = 1
-    for c in ints.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    ints = Poly(c * scale for c in ints.coeffs)
-    for num in _divisors(abs(int(ints[0]))):
-        for den in _divisors(abs(int(ints.leading_coefficient()))):
+    ints = _int_coeffs(p.coeffs)
+    for num in _divisors(abs(ints[0])):
+        for den in _divisors(abs(ints[-1])):
             for sign in (1, -1):
                 candidate = Fraction(sign * num, den)
                 if p(candidate) == 0:
@@ -357,9 +359,7 @@ def integrate_01(f: RatFunc) -> LogCombination:
     """
     if f.is_zero():
         return LogCombination.zero()
-    if f.den.degree() > 0 and (
-        f.den(0) == 0 or sturm_root_count(f.den, 0, 1) > 0
-    ):
+    if has_root_in_unit_interval(f.den):
         raise DivergentIntegralError(
             f"integrand has a pole in [0, 1]: denominator {f.den}"
         )

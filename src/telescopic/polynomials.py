@@ -266,9 +266,7 @@ class Poly:
 
     def primitive(self) -> "Poly":
         """Integer-coefficient form with content 1, keeping the sign."""
-        if self.is_zero():
-            return self
-        return Poly(c / self.content() for c in self.coeffs)
+        return Poly(_int_coeffs(self.coeffs))
 
     # -- display -----------------------------------------------------------
 
@@ -304,17 +302,12 @@ class Poly:
 # -- gcd machinery ---------------------------------------------------------
 
 
-def _int_coeffs(p: Poly) -> list[int]:
+def _int_coeffs(coeffs: Sequence[Scalar]) -> list[int]:
+    """The primitive integer vector proportional to coeffs, signs kept."""
     scale = 1
-    for c in p.coeffs:
+    for c in coeffs:
         scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    out = [int(c * scale) for c in p.coeffs]
-    g = 0
-    for v in out:
-        g = math.gcd(g, v)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+    return _int_primitive([int(c * scale) for c in coeffs])
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -339,9 +332,7 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_primitive(a: list[int]) -> list[int]:
-    g = 0
-    for v in a:
-        g = math.gcd(g, v)
+    g = math.gcd(*a)
     return [v // g for v in a] if g > 1 else a
 
 
@@ -357,7 +348,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    a, b = _int_coeffs(p), _int_coeffs(q)
+    a, b = _int_coeffs(p.coeffs), _int_coeffs(q.coeffs)
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -425,3 +416,9 @@ def sturm_root_count(p: Poly, lo: Scalar, hi: Scalar) -> int:
         return sum(1 for s, u in zip(signs, signs[1:]) if (s < 0) != (u < 0))
 
     return variations(lo) - variations(hi)
+
+
+def has_root_in_unit_interval(p: Poly) -> bool:
+    """Whether p has a real root in the closed interval [0, 1]."""
+    # Sturm counts roots in (0, 1]; x = 0 is checked separately.
+    return p(0) == 0 or sturm_root_count(p, 0, 1) > 0

@@ -131,7 +131,11 @@ def verify_substitution_proof(
         substitution = RatFunc(Poly([b, -b]), Poly([b, 1]))
     left = make_left_family(params)
     right = make_right_family(params)
-    transformed = left.at(n).compose(substitution) * (-substitution.derivative())
+    transformed = (
+        left.cofactor.compose(substitution)
+        * left.ratio.compose(substitution) ** n
+        * (-substitution.derivative())
+    )
     return transformed == right.at(n)
 
 

@@ -11,6 +11,12 @@ estimate is below tol * width (so the accepted total is below tol) or
 the panel cap is hit, in which case an explicit tolerance-not-met error
 carries the best available result.  Panel results are accumulated
 left-to-right with exact float summation for reproducibility.
+
+The nodes and weights are computed once at import, by Newton's method
+on the three-term Legendre recurrence.  The integrand is evaluated at
+each node exactly, in integers, and rounded to a float once: a node is
+a dyadic rational m / 2^k, so numerator and denominator values scaled
+by a power of 2^k are integers, and their quotient rounds correctly.
 """
 
 from __future__ import annotations
@@ -18,15 +24,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.polynomial import legendre, polynomial as npoly
-
 from .errors import PoleError, ToleranceNotMetError
-from .polynomials import sturm_root_count
+from .polynomials import _int_coeffs, has_root_in_unit_interval
 from .ratfuncs import RatFunc
 
-_LOW_NODES, _LOW_WEIGHTS = legendre.leggauss(7)
-_HIGH_NODES, _HIGH_WEIGHTS = legendre.leggauss(15)
+
+def _gauss_legendre(m: int) -> tuple[list[float], list[float]]:
+    """Ascending nodes and their weights of the m-point rule on [-1, 1]."""
+    nodes, weights = [0.0] * m, [0.0] * m
+    for i in range((m + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (m + 0.5))  # near the i-th largest root
+        for _ in range(8):  # Newton converges to rounding level within 5 steps
+            p_prev, p = 1.0, x  # P_{k-1}(x), P_k(x), stepped up to k = m
+            for k in range(2, m + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            slope = m * (x * p - p_prev) / (x * x - 1)
+            x -= p / slope
+        nodes[i], nodes[m - 1 - i] = -x, x
+        weights[i] = weights[m - 1 - i] = 2 / ((1 - x * x) * slope * slope)
+    return nodes, weights
+
+
+_LOW_NODES, _LOW_WEIGHTS = _gauss_legendre(7)
+_HIGH_NODES, _HIGH_WEIGHTS = _gauss_legendre(15)
 
 DEFAULT_MAX_SUBDIVISIONS = 10**4
 
@@ -36,6 +56,15 @@ class QuadratureResult:
     value: float
     error_estimate: float
     subdivisions: int
+
+
+def _dyadic_value(coeffs: list[int], m: int, k: int) -> int:
+    """2^(k*d) * p(m / 2^k) for the coefficients of p, ascending, d + 1 of them."""
+    acc, shift = coeffs[-1], 0
+    for c in reversed(coeffs[:-1]):
+        shift += k
+        acc = acc * m + (c << shift)
+    return acc
 
 
 def quad_01(
@@ -50,19 +79,31 @@ def quad_01(
         raise ValueError("tol must be >= 1e-14")
     if max_subdivisions < 1:
         raise ValueError("max_subdivisions must be positive")
-    if f.den.degree() > 0 and (f.den(0) == 0 or sturm_root_count(f.den, 0, 1) > 0):
+    if has_root_in_unit_interval(f.den):
         raise PoleError(f"integrand has a pole in [0, 1]: denominator {f.den}")
 
-    num_coeffs = np.array([float(c) for c in f.num.coeffs] or [0.0])
-    den_coeffs = np.array([float(c) for c in f.den.coeffs])
+    # f = (scale.numerator * num) / (scale.denominator * den) with num and
+    # den primitive integer polynomials, padded with zeros to one length so
+    # that both are valued as homogeneous forms of the same degree
+    num, den = _int_coeffs(f.num.coeffs), _int_coeffs(f.den.coeffs)
+    length = max(len(num), len(den))
+    num, den = num + [0] * (length - len(num)), den + [0] * (length - len(den))
+    scale = f.num.content() / f.den.content()
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        return npoly.polyval(points, num_coeffs) / npoly.polyval(points, den_coeffs)
+    def evaluate(t: float) -> float:
+        m, two_k = t.as_integer_ratio()
+        k = two_k.bit_length() - 1
+        return (scale.numerator * _dyadic_value(num, m, k)) / (
+            scale.denominator * _dyadic_value(den, m, k)
+        )
+
+    def rule(mid: float, half: float, nodes: list[float], weights: list[float]) -> float:
+        return half * math.fsum(w * evaluate(mid + half * x) for x, w in zip(nodes, weights))
 
     def panel(lo: float, hi: float) -> tuple[float, float]:
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        low = half * float(_LOW_WEIGHTS @ evaluate(mid + half * _LOW_NODES))
-        high = half * float(_HIGH_WEIGHTS @ evaluate(mid + half * _HIGH_NODES))
+        low = rule(mid, half, _LOW_NODES, _LOW_WEIGHTS)
+        high = rule(mid, half, _HIGH_NODES, _HIGH_WEIGHTS)
         return high, abs(high - low)
 
     leaves: list[tuple[float, float]] = []  # (value, estimate), left-to-right

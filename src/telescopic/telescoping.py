@@ -27,7 +27,6 @@ all-n verification above.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,7 +34,7 @@ from typing import Sequence
 
 from .errors import AnsatzExhaustedError
 from .families import IntegrandFamily, ParameterPair
-from .polynomials import Poly, poly_gcd, poly_lcm
+from .polynomials import Poly, _int_coeffs, _int_primitive, poly_gcd, poly_lcm
 from .ratfuncs import RatFunc
 
 _X_TIMES_X_MINUS_1 = Poly([0, -1, 1])  # x(x-1), the forced certificate factor
@@ -64,15 +63,8 @@ class Recurrence:
         return max(c.degree() for c in self.coeffs)
 
     def _normalization_scale(self) -> Fraction:
-        num_gcd, den_lcm = 0, 1
-        for poly in self.coeffs:
-            for c in poly.coeffs:
-                num_gcd = math.gcd(num_gcd, abs(c.numerator))
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        if self.coeffs[-1].leading_coefficient() < 0:
-            scale = -scale
-        return scale
+        scale = 1 / Poly(c for poly in self.coeffs for c in poly.coeffs).content()
+        return -scale if self.coeffs[-1].leading_coefficient() < 0 else scale
 
     def normalized(self) -> tuple["Recurrence", Fraction]:
         """Primitive integer-content form with positive leading coefficient
@@ -220,17 +212,6 @@ def closed_form_certificates(params: ParameterPair) -> tuple[Certificate, Certif
 # -- exact nullspace ----------------------------------------------------------
 
 
-def _primitive_int_row(row: Sequence[Fraction]) -> list[int]:
-    den_lcm = 1
-    for c in row:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints] if g > 1 else ints
-
-
 def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right nullspace via fraction-free elimination.
 
@@ -246,11 +227,7 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
         raise ValueError("matrix rows must have equal length")
     if ncols == 0:
         return []
-    work = [
-        _primitive_int_row([Fraction(c) for c in row])
-        for row in matrix
-        if any(c != 0 for c in row)
-    ]
+    work = [_int_coeffs(row) for row in matrix if any(c != 0 for c in row)]
     pivots: list[tuple[int, int]] = []  # (row index in work, pivot column)
     rank = 0
     for col in range(ncols):
@@ -266,10 +243,7 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
                 merged = [
                     pivot_val * a - factor * b for a, b in zip(work[i], work[rank])
                 ]
-                g = 0
-                for v in merged:
-                    g = math.gcd(g, v)
-                work[i] = [v // g for v in merged] if g > 1 else merged
+                work[i] = _int_primitive(merged)
         pivots.append((rank, col))
         rank += 1
     pivot_cols = {col for _, col in pivots}
@@ -283,7 +257,7 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
             row = work[row_idx]
             acc = sum((row[j] * vec[j] for j in range(col + 1, ncols)), Fraction(0))
             vec[col] = -acc / row[col]
-        ints = _primitive_int_row(vec)
+        ints = _int_coeffs(vec)
         first = next(v for v in ints if v != 0)
         if first < 0:
             ints = [-v for v in ints]

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import telescopic
+from telescopic import quadrature
 from conftest import random_params
 from telescopic import (
     ParameterPair,
@@ -101,11 +102,38 @@ def test_tolerance_not_met_carries_best_result():
     assert abs(result.value - 6.908754779315) < 1.0
 
 
-def test_importing_the_package_does_not_load_scipy():
+def test_small_denominator_integrand_within_its_error_estimate():
+    # evaluating expanded coefficients in double precision once put this
+    # 2.4e-11 off while reporting an error estimate of 3.7e-13
+    f = make_right_family(ParameterPair(Fraction(5, 9), Fraction(11, 49))).at(16)
+    exact = float(logcomb_to_float(integrate_01(f), 64))
+    result = quad_01(f)
+    assert abs(result.value - exact) < 1e-11
+    assert abs(result.value - exact) <= result.error_estimate
+
+
+@pytest.mark.parametrize(
+    "nodes, weights",
+    [
+        (quadrature._LOW_NODES, quadrature._LOW_WEIGHTS),
+        (quadrature._HIGH_NODES, quadrature._HIGH_WEIGHTS),
+    ],
+    ids=["7-point", "15-point"],
+)
+def test_rule_integrates_monomials_exactly(nodes, weights):
+    # an m-point Gauss rule is exact for x^k, k <= 2m - 1, on [-1, 1]
+    assert nodes == sorted(nodes) and len(nodes) == len(weights)
+    for k in range(2 * len(nodes)):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(math.fsum(w * x**k for x, w in zip(nodes, weights)) - exact) < 1e-15
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_importing_the_package_does_not_load(module):
     src = os.path.dirname(os.path.dirname(telescopic.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-c", "import telescopic, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", f"import telescopic, sys; assert {module!r} not in sys.modules"],
         env={**os.environ, "PYTHONPATH": path},
         check=True,
     )
