@@ -188,10 +188,11 @@ def cmd_quad(params: ParameterPair, args: argparse.Namespace) -> int:
         ("right", make_right_family(params)),
     ):
         for n in range(args.n_max + 1):
-            exact = float(logcomb_to_float(integrate_01(fam.at(n)), 64))
+            integrand = fam.at(n)
+            exact = float(logcomb_to_float(integrate_01(integrand), 64))
             status = "ok"
             try:
-                result = quad_01(fam.at(n), args.tol)
+                result = quad_01(integrand, args.tol)
             except ToleranceNotMetError as exc:
                 result = exc.result
                 status = "tolerance-not-met"

@@ -1,21 +1,22 @@
-"""Integrand families F(n, x) = c(x) * r(x)^n on the interval [0, 1].
+"""Integrand families F(n, x) = x^n (1-x)^n / Q(x)^(n+1) on the interval [0, 1].
 
 The identity under study compares two such families built from a
 parameter pair a > b > 0:
 
-    left:   c = 1/((x+a)(x+b)),        r = x(1-x)/((x+a)(x+b))
-    right:  c = 1/((a-b)x + (a+1)b),   r = x(1-x)/((a-b)x + (a+1)b)
+    left:   Q = (x+a)(x+b)
+    right:  Q = (a-b)x + (a+1)b
 
-so that F(n, x) is x^n (1-x)^n over the denominator raised to n+1.
-Both members of a family share two structural properties that the whole
-proof leans on: the denominators have no roots in [0, 1] (the integrals
-converge) and r vanishes at both endpoints (certificate boundary terms
-vanish).  Both are checked eagerly at construction.
+A family is its denominator Q.  Read as F(n, x) = c(x) * r(x)^n it has
+cofactor c = 1/Q and ratio r = x(1-x)/Q, so r vanishes at both
+endpoints (certificate boundary terms vanish) by construction.  The one
+property checked at construction is that Q has no root in [0, 1] (the
+integrals converge).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .polynomials import Poly, _to_fraction, has_root_in_unit_interval
@@ -41,40 +42,36 @@ class ParameterPair:
         return f"(a={self.a}, b={self.b})"
 
 
-def _to_ratfunc(value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, Poly):
-        return RatFunc(value, Poly.one())
-    return RatFunc(Poly.constant(_to_fraction(value)), Poly.one())
-
-
 @dataclass(frozen=True)
 class IntegrandFamily:
-    """F(n, x) = cofactor(x) * ratio(x)^n, integrated over [0, 1]."""
+    """F(n, x) = x^n (1-x)^n / den(x)^(n+1), integrated over [0, 1]."""
 
-    cofactor: RatFunc
-    ratio: RatFunc
+    den: Poly
 
     def __post_init__(self):
-        object.__setattr__(self, "cofactor", _to_ratfunc(self.cofactor))
-        object.__setattr__(self, "ratio", _to_ratfunc(self.ratio))
-        if self.cofactor.is_zero() or self.ratio.is_zero():
-            raise ValueError("cofactor and ratio must be nonzero")
-        for part in (self.cofactor, self.ratio):
-            if has_root_in_unit_interval(part.den):
-                raise ValueError(
-                    f"denominator {part.den} has a root in [0, 1]; "
-                    "the integrals would diverge"
-                )
-        if self.ratio(0) != 0 or self.ratio(1) != 0:
-            raise ValueError("ratio must vanish at x=0 and x=1")
+        # the zero polynomial vanishes at 0, so this also rejects den = 0
+        if has_root_in_unit_interval(self.den):
+            raise ValueError(
+                f"denominator {self.den} has a root in [0, 1]; "
+                "the integrals would diverge"
+            )
+
+    @cached_property
+    def cofactor(self) -> RatFunc:  # c = 1/den
+        return RatFunc(Poly.one(), self.den)
+
+    @cached_property
+    def ratio(self) -> RatFunc:  # r = x(1-x)/den
+        return RatFunc(Poly([0, 1, -1]), self.den)
 
     def at(self, n: int) -> RatFunc:
         """The concrete integrand F(n, x) = c(x) * r(x)^n for one n."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        return self.cofactor * self.ratio**n
+        # den(0), den(1) != 0, so den shares no factor with x(1-x), and a power
+        # of the monic cofactor.den is monic: already in lowest terms, no gcd.
+        c, r = self.cofactor, self.ratio
+        return RatFunc._reduced(r.num**n * c.num, c.den ** (n + 1))
 
     def log_derivative(self, n: int) -> RatFunc:
         """F'(n,x)/F(n,x) = c'/c + n * r'/r, exactly."""
@@ -95,12 +92,10 @@ class IntegrandFamily:
 def make_left_family(params: ParameterPair) -> IntegrandFamily:
     """The family of x^n (1-x)^n / ((x+a)(x+b))^{n+1}."""
     a, b = params.a, params.b
-    q = Poly([a * b, a + b, 1])  # (x+a)(x+b)
-    return IntegrandFamily(RatFunc(Poly.one(), q), RatFunc(Poly([0, 1, -1]), q))
+    return IntegrandFamily(Poly([a * b, a + b, 1]))  # (x+a)(x+b)
 
 
 def make_right_family(params: ParameterPair) -> IntegrandFamily:
     """The family of x^n (1-x)^n / ((a-b)x + (a+1)b)^{n+1}."""
     a, b = params.a, params.b
-    q = Poly([(a + 1) * b, a - b])
-    return IntegrandFamily(RatFunc(Poly.one(), q), RatFunc(Poly([0, 1, -1]), q))
+    return IntegrandFamily(Poly([(a + 1) * b, a - b]))

@@ -104,9 +104,6 @@ class LogCombination:
     def is_zero(self) -> bool:
         return self.constant == 0 and not self.terms
 
-    def is_rational(self) -> bool:
-        return not self.terms
-
     def terms_dict(self) -> dict[int, Fraction]:
         return dict(self.terms)
 
@@ -137,9 +134,6 @@ class LogCombination:
         return NotImplemented
 
     __mul__ = __rmul__
-
-    def to_float(self, precision_bits: int) -> mpmath.mpf:
-        return logcomb_to_float(self, precision_bits)
 
     def __str__(self) -> str:
         pieces = []

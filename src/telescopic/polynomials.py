@@ -8,7 +8,7 @@ share between threads.
 
 The usual ring operators are overloaded, together with divmod (exact
 Euclidean division), evaluation via call syntax, differentiation,
-composition, and a monic GCD computed by a primitive pseudo-remainder
+Taylor shift, and a monic GCD computed by a primitive pseudo-remainder
 sequence over the integers to keep intermediate coefficients small.
 """
 
@@ -228,16 +228,14 @@ class Poly:
             acc = acc * point + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)) by Horner's scheme over Poly."""
-        acc = Poly.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
     def shift(self, offset: Scalar) -> "Poly":
-        """Taylor shift: the polynomial t -> self(t + offset)."""
-        return self.compose(Poly((offset, 1)))
+        """Taylor shift t -> self(t + offset), by repeated synthetic division."""
+        offset = _to_fraction(offset)
+        c = list(self.coeffs)
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] += offset * c[j + 1]
+        return Poly(c)
 
     # -- normal forms ------------------------------------------------------
 

@@ -54,12 +54,12 @@ class RatFunc:
         return cls(Poly.one())
 
     @classmethod
-    def constant(cls, value: Scalar) -> "RatFunc":
-        return cls(Poly.constant(value))
-
-    @classmethod
-    def x(cls) -> "RatFunc":
-        return cls(Poly.x())
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num/den with no gcd, for a pair the caller knows is canonical."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     # -- queries -----------------------------------------------------------
 
@@ -150,7 +150,8 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den**-exponent, self.num**-exponent)
-        return RatFunc(self.num**exponent, self.den**exponent)
+        # powers of a coprime pair stay coprime, and of a monic den monic
+        return RatFunc._reduced(self.num**exponent, self.den**exponent)
 
     # -- calculus and evaluation ----------------------------------------------
 

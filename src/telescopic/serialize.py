@@ -86,9 +86,13 @@ def family_to_obj(fam: IntegrandFamily) -> dict:
 
 
 def family_from_obj(obj: dict) -> IntegrandFamily:
-    return IntegrandFamily(
-        ratfunc_from_obj(obj["cofactor"]), ratfunc_from_obj(obj["ratio"])
-    )
+    # 1/den is recorded as 1/lc(den) over monic(den); other forms raise ValueError
+    cofactor = ratfunc_from_obj(obj["cofactor"])
+    scale = cofactor.num.leading_coefficient()
+    fam = IntegrandFamily(Poly(c / scale for c in cofactor.den))
+    if family_to_obj(fam) != obj:
+        raise ValueError("recorded family is not x^n (1-x)^n / den^(n+1)")
+    return fam
 
 
 def recurrence_to_obj(rec: Recurrence) -> dict:

@@ -1,5 +1,5 @@
 """Parameter validation and the structural invariants of integrand
-families F(n, x) = c(x) * r(x)^n."""
+families F(n, x) = x^n (1-x)^n / den(x)^(n+1) = c(x) * r(x)^n."""
 
 import random
 from fractions import Fraction
@@ -86,32 +86,30 @@ def test_ratio_vanishes_at_endpoints_always():
             assert fam.ratio(1) == 0
 
 
+def test_at_matches_the_gcd_reduced_quotient():
+    # at(n) skips the gcd; the full constructor must agree, including
+    # the non-monic right-hand denominator
+    rng = random.Random(304)
+    for _ in range(10):
+        params = random_params(rng)
+        for fam in (make_left_family(params), make_right_family(params)):
+            for n in range(13):
+                expected = RatFunc(Poly([0, 1, -1]) ** n, fam.den ** (n + 1))
+                assert fam.at(n) == expected
+
+
 def test_construction_rejects_pole_inside_domain():
     # denominator x - 1/2 vanishes inside [0, 1]
     with pytest.raises(ValueError, match="root in"):
-        IntegrandFamily(
-            RatFunc(Poly.one(), Poly([Fraction(-1, 2), 1])),
-            Poly([0, 1, -1]),
-        )
+        IntegrandFamily(Poly([Fraction(-1, 2), 1]))
 
 
 def test_construction_rejects_pole_at_endpoint():
-    with pytest.raises(ValueError, match="root in"):
-        IntegrandFamily(RatFunc(Poly.one(), Poly([0, 1])), Poly([0, 1, -1]))
-
-
-def test_construction_rejects_nonvanishing_ratio():
-    with pytest.raises(ValueError, match="vanish"):
-        IntegrandFamily(Poly.one(), Poly([0, 1]))  # r = x, r(1) != 0
+    for den in (Poly([0, 1]), Poly([-1, 1])):  # x and x - 1
+        with pytest.raises(ValueError, match="root in"):
+            IntegrandFamily(den)
 
 
 def test_construction_rejects_zero_members():
-    with pytest.raises(ValueError, match="nonzero"):
-        IntegrandFamily(Poly.zero(), Poly([0, 1, -1]))
-
-
-def test_polynomial_arguments_are_lifted():
-    fam = IntegrandFamily(Poly.one(), Poly([0, 1, -1]))
-    assert isinstance(fam.cofactor, RatFunc)
-    assert isinstance(fam.ratio, RatFunc)
-    assert fam.at(2) == RatFunc(Poly([0, 1, -1]) ** 2)
+    with pytest.raises(ValueError, match="root in"):
+        IntegrandFamily(Poly.zero())

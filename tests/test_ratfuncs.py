@@ -61,6 +61,11 @@ def test_pow_and_inverse():
     assert f**-2 == RatFunc.one() / (f * f)
     with pytest.raises(ZeroDivisionError):
         RatFunc.zero() ** -1
+    rng = random.Random(207)
+    for _ in range(100):
+        f = random_ratfunc(rng)
+        for e in range(5):
+            assert f**e == RatFunc(f.num**e, f.den**e)
 
 
 def test_division_by_zero_rejected():

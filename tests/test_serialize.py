@@ -18,6 +18,7 @@ from telescopic import (
     closed_form_certificates,
     closed_form_recurrence,
     make_left_family,
+    make_right_family,
     proof_from_json,
     proof_to_json,
     prove_identity,
@@ -85,13 +86,20 @@ def test_component_round_trips():
     for _ in range(20):
         params = random_params(rng)
         assert params_from_obj(params_to_obj(params)) == params
-        fam = make_left_family(params)
-        assert family_from_obj(family_to_obj(fam)) == fam
+        for fam in (make_left_family(params), make_right_family(params)):
+            assert family_from_obj(family_to_obj(fam)) == fam
         rec = closed_form_recurrence(params)
         assert recurrence_from_obj(recurrence_to_obj(rec)) == rec
         c1, c2 = closed_form_certificates(params)
         assert certificate_from_obj(certificate_to_obj(c1)) == c1
         assert certificate_from_obj(certificate_to_obj(c2)) == c2
+
+
+def test_family_from_obj_refuses_other_forms():
+    obj = family_to_obj(make_left_family(ParameterPair(2, 1)))
+    obj["ratio"]["num"] = poly_to_obj(Poly([0, 1]))  # r = x/Q
+    with pytest.raises(ValueError, match="not x\\^n"):
+        family_from_obj(obj)
 
 
 def test_proof_json_key_order():

@@ -256,7 +256,7 @@ def test_discover_beta_family_order_one():
     # int_0^1 x^n (1-x)^n dx satisfies (n+1) I(n) = 2(2n+3) I(n+1);
     # the per-n solution rays here have content that varies with n, so
     # this pins the scale-invariant reconstruction.
-    beta = IntegrandFamily(Poly.one(), Poly([0, 1, -1]))
+    beta = IntegrandFamily(Poly.one())
     rec, cert = discover(beta, max_order=1, max_cert_degree=4)
     assert rec == Recurrence(1, (Poly([-1, -1]), Poly([6, 4])))
     assert cert == Certificate((RatFunc(Poly([0, -1, 3, -2])),))
@@ -270,7 +270,7 @@ def test_discover_exhausts_below_true_order():
 
 
 def test_discover_validates_arguments():
-    beta = IntegrandFamily(Poly.one(), Poly([0, 1, -1]))
+    beta = IntegrandFamily(Poly.one())
     with pytest.raises(ValueError):
         discover(beta, max_order=0)
     with pytest.raises(ValueError):
