@@ -15,8 +15,9 @@ both sides are polynomial in n of bounded degree, checking at
 degree_bound + 1 integer values of n proves it for every n.
 
 Discovery follows the differentiating-under-the-integral-sign ansatz:
-R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  For each trial
-order and numerator degree it solves exact homogeneous linear systems at
+R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Its columns
+are linear in n, built once per family as polynomials A + n * B.  For
+each trial order and numerator degree it solves exact linear systems at
 consecutive numeric n, reconstructs the n-dependence of the solution ray
 by rational interpolation of coordinate ratios (the per-n nullspace
 vectors carry an arbitrary scale, so the ratios, not the raw
@@ -268,35 +269,43 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
 # -- discovery ----------------------------------------------------------------
 
 
-def _ansatz_columns(fam: IntegrandFamily, rho: int, d: int) -> list[RatFunc]:
-    """n-free pieces of the ansatz: one column per unknown.
+_Columns = tuple[list[Poly], list[tuple[Poly, Poly]]]
+
+
+def _ansatz_columns(
+    fam: IntegrandFamily, max_order: int, max_cert_degree: int
+) -> _Columns:
+    """The divided identity's columns for the largest shape, built once.
 
     Unknowns are (c_0 .. c_rho, m_0 .. m_{d-2}) where the certificate is
-    R = x(x-1) (m_0 + m_1 x + ...) / Q with Q = den(c).  The n-dependent
-    part (R * n * r'/r) is added per sample in _sample_matrix.
+    R = x(x-1) (m_0 + m_1 x + ...) / Q with Q = den(c).  As F'/F is
+    c'/c + n * r'/r, c_k multiplies A = r^k and m_j multiplies A + n * B
+    with A = -(col' + col * c'/c), B = -col * r'/r, col = x(x-1) x^j / Q,
+    all over one common denominator, which leaves the kernel unchanged.
+    A shape (rho, d) takes the first rho + 1 A's and d - 1 (A, B) pairs.
     """
-    q = fam.cofactor.den
-    columns = [fam.shifted_ratio(k) for k in range(rho + 1)]
-    for j in range(max(d - 1, 0)):
-        r_j = RatFunc(_X_TIMES_X_MINUS_1 * Poly.monomial(1, j), q)
-        columns.append(r_j)
-    return columns
+    c_logd = fam.cofactor.derivative() / fam.cofactor
+    r_logd = fam.ratio.derivative() / fam.ratio
+    rec = [fam.shifted_ratio(k) for k in range(max_order + 1)]
+    cert = []
+    for j in range(max_cert_degree - 1):
+        col = RatFunc(_X_TIMES_X_MINUS_1 * Poly.monomial(1, j), fam.cofactor.den)
+        cert.append((-(col.derivative() + col * c_logd), -(col * r_logd)))
+    common = reduce(poly_lcm, {f.den for f in rec + [f for ab in cert for f in ab]})
+
+    def over_common(f: RatFunc) -> Poly:
+        return f.num * common.exact_div(f.den)
+
+    return [over_common(f) for f in rec], [tuple(map(over_common, ab)) for ab in cert]
 
 
 def _sample_matrix(
-    fam: IntegrandFamily, rho: int, d: int, n_value: int
+    columns: _Columns, rho: int, d: int, n_value: int
 ) -> list[list[Fraction]]:
-    """Homogeneous system for the divided identity at one numeric n:
-    coefficients in x of  sum_k c_k r^k - (R' + R * logd)  = 0."""
-    logd = fam.log_derivative(n_value)
-    contributions = []
-    for idx, col in enumerate(_ansatz_columns(fam, rho, d)):
-        if idx <= rho:
-            contributions.append(col)
-        else:
-            contributions.append(-(col.derivative() + col * logd))
-    common_den = reduce(poly_lcm, (c.den for c in contributions))
-    polys = [c.num * common_den.exact_div(c.den) for c in contributions]
+    """Homogeneous system for the divided identity at one numeric n: the
+    coefficients in x of the shape's columns A + n * B, with no gcd."""
+    rec, cert = columns
+    polys = rec[: rho + 1] + [a + n_value * b for a, b in cert[: d - 1]]
     nrows = max(p.degree() for p in polys) + 1
     return [[p[e] for p in polys] for e in range(nrows)]
 
@@ -399,13 +408,13 @@ def _assemble(
 
 
 def _try_shape(
-    fam: IntegrandFamily, rho: int, d: int
+    fam: IntegrandFamily, columns: _Columns, rho: int, d: int
 ) -> tuple[Recurrence, Certificate] | None:
     for bound in range(rho + 1, 2 * rho + 3):
         xs = list(range(2 * bound + 3))
         vecs = []
         for n_value in xs:
-            basis = solve_nullspace(_sample_matrix(fam, rho, d, n_value))
+            basis = solve_nullspace(_sample_matrix(columns, rho, d, n_value))
             if not basis:
                 return None  # no relation of this shape at this n
             vecs.append(_choose_vector(basis, rho))
@@ -436,9 +445,10 @@ def discover(
         raise ValueError("max_order must be >= 1")
     if max_cert_degree < 1:
         raise ValueError("max_cert_degree must be >= 1")
+    columns = _ansatz_columns(fam, max_order, max_cert_degree)
     for rho in range(1, max_order + 1):
         for d in range(1, max_cert_degree + 1):
-            found = _try_shape(fam, rho, d)
+            found = _try_shape(fam, columns, rho, d)
             if found is not None:
                 return found
     raise AnsatzExhaustedError(max_order, max_cert_degree)

@@ -3,6 +3,7 @@ discovery of recurrence/certificate pairs."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -26,6 +27,8 @@ from telescopic import (
     verify_telescoping,
     verify_telescoping_all_n,
 )
+from telescopic.polynomials import poly_lcm
+from telescopic.telescoping import _ansatz_columns, _sample_matrix
 
 
 def classical_pair(params):
@@ -261,6 +264,64 @@ def test_discover_beta_family_order_one():
     assert rec == Recurrence(1, (Poly([-1, -1]), Poly([6, 4])))
     assert cert == Certificate((RatFunc(Poly([0, -1, 3, -2])),))
     assert verify_telescoping_all_n(beta, rec, cert, required_degree_bound(rec, cert))
+
+
+def _per_sample_columns(fam, n, max_order=2, max_cert_degree=4):
+    """Reference: the ansatz columns rebuilt as rational functions at one n
+    from fam.log_derivative(n), with no sharing across samples."""
+    logd = fam.log_derivative(n)
+    rec = [fam.shifted_ratio(k) for k in range(max_order + 1)]
+    cert = []
+    for j in range(max_cert_degree - 1):
+        x_x_minus_1_xj = Poly([0, -1, 1]) * Poly.monomial(1, j)
+        col = RatFunc(x_x_minus_1_xj, fam.cofactor.den)
+        cert.append(-(col.derivative() + col * logd))
+    return rec, cert
+
+
+def _per_sample_matrix(per_sample_columns, rho, d):
+    """Reference: one shape's columns over their own lcm denominator."""
+    rec, cert = per_sample_columns
+    cols = rec[: rho + 1] + cert[: d - 1]
+    common_den = reduce(poly_lcm, (c.den for c in cols))
+    polys = [c.num * common_den.exact_div(c.den) for c in cols]
+    return [[p[e] for p in polys] for e in range(max(p.degree() for p in polys) + 1)]
+
+
+def test_shared_columns_give_the_per_sample_kernels():
+    rng = random.Random(407)
+    families = [IntegrandFamily(Poly.one())]
+    for _ in range(5):
+        params = random_params(rng, bound=15)
+        families += [make_left_family(params), make_right_family(params)]
+    for fam in families:
+        columns = _ansatz_columns(fam, 2, 4)
+        for n in range(9):
+            reference = _per_sample_columns(fam, n)
+            for rho in range(3):
+                for d in range(1, 5):
+                    basis = solve_nullspace(_sample_matrix(columns, rho, d, n))
+                    expected = solve_nullspace(_per_sample_matrix(reference, rho, d))
+                    assert basis == expected
+                    if (rho, d) == (2, 4):
+                        assert basis  # the classical shape always has a relation
+
+
+def test_discover_builds_its_columns_once_per_family(monkeypatch):
+    # rebuilding the columns per sample as rational functions made 369
+    # gcd-reducing RatFunc constructions here; sharing them makes 102
+    count = 0
+    init = RatFunc.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    fam = make_left_family(ParameterPair(2, 1))
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    discover(fam)
+    assert count <= 150
 
 
 def test_discover_exhausts_below_true_order():
