@@ -40,11 +40,13 @@ def main() -> None:
         transformed = left.at(n).compose(substitution) * (-substitution.derivative())
         ok = transformed == right.at(n)
         print(f"n={n}:  F1(n, x(u)) * (-dx/du) == F2(n, u)  ->  {ok}")
+    print(f"every n, from r1(x(u)) == r2(u) and c1(x(u)) * (-dx/du) == c2(u): "
+          f"{verify_substitution_proof(params)}")
 
     print()
     wrong = RatFunc(Poly([b, b]), Poly([b, 1]))  # numerator b(1+u): not the map
     print(f"negative control, numerator flipped to b(1+u): "
-          f"{verify_substitution_proof(params, 0, substitution=wrong)}")
+          f"{verify_substitution_proof(params, substitution=wrong)}")
 
 
 if __name__ == "__main__":

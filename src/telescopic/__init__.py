@@ -53,7 +53,6 @@ from .integration import (
 from .polynomials import Poly, poly_gcd, poly_lcm, squarefree_decomposition, sturm_root_count
 from .prove import (
     ProofObject,
-    boundary_vanishing_check,
     propagate_recurrence,
     prove_identity,
     reverify_proof,
@@ -69,10 +68,8 @@ from .telescoping import (
     closed_form_recurrence,
     discover,
     normalize_pair,
-    required_degree_bound,
     solve_nullspace,
     verify_telescoping,
-    verify_telescoping_all_n,
 )
 
 __all__ = [
@@ -99,7 +96,6 @@ __all__ = [
     "TelescopicError",
     "ToleranceNotMetError",
     "approximant_table",
-    "boundary_vanishing_check",
     "closed_form_certificates",
     "closed_form_recurrence",
     "decay_rate_estimate",
@@ -121,7 +117,6 @@ __all__ = [
     "prove_identity",
     "quad_01",
     "rational_roots",
-    "required_degree_bound",
     "reverify_proof",
     "rows_to_csv",
     "solve_nullspace",
@@ -130,5 +125,4 @@ __all__ = [
     "target_constant",
     "verify_substitution_proof",
     "verify_telescoping",
-    "verify_telescoping_all_n",
 ]

@@ -10,9 +10,10 @@ functions of x whose dependence on n is polynomial:
 
     sum_k  c_k(n) * r(x)^k  =  R'(n, x) + R(n, x) * (c'/c + n * r'/r)
 
-Verification checks this divided identity exactly for numeric n; since
-both sides are polynomial in n of bounded degree, checking at
-degree_bound + 1 integer values of n proves it for every n.
+Both sides are polynomials in n, so verification compares them power by
+power: the coefficient of each n^e is an identity of rational functions
+of x alone, checked exactly, and together they prove the identity for
+every n without sampling any n.
 
 Discovery follows the differentiating-under-the-integral-sign ansatz:
 R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Its columns
@@ -23,7 +24,7 @@ by rational interpolation of coordinate ratios (the per-n nullspace
 vectors carry an arbitrary scale, so the ratios, not the raw
 coordinates, are the well-defined data), clears denominators to a
 primitive polynomial tuple, and confirms the candidate with the exact
-all-n verification above.
+verification above.
 """
 
 from __future__ import annotations
@@ -134,45 +135,31 @@ def normalize_pair(
 # -- verification -----------------------------------------------------------
 
 
-def verify_telescoping(
-    fam: IntegrandFamily, rec: Recurrence, cert: Certificate, n: int
-) -> bool:
-    """Exact check of the divided telescoping identity at one numeric n.
+def verify_telescoping(fam: IntegrandFamily, rec: Recurrence, cert: Certificate) -> bool:
+    """Exact check of the divided telescoping identity for every n.
 
-    Returns False on any mismatch; never raises for well-formed inputs.
+    With c_k(n) = sum_e [n^e]c_k * n^e and R = sum_t n^t * R_t, the
+    coefficient of n^e on each side gives one identity in x alone:
+
+        sum_k [n^e]c_k * r^k  =  R_e' + R_e * c'/c + R_{e-1} * r'/r
+
+    for e = 0 .. max(deg_n rec, len(parts)); together they are the
+    identity at every n.  Returns False on any mismatch; never raises
+    for well-formed inputs.
     """
-    lhs = RatFunc.zero()
-    for k in range(rec.order + 1):
-        lhs = lhs + rec.coefficient_at(k, n) * fam.shifted_ratio(k)
-    r = cert.at(n)
-    rhs = r.derivative() + r * fam.log_derivative(n)
-    return lhs == rhs
-
-
-def verify_telescoping_all_n(
-    fam: IntegrandFamily, rec: Recurrence, cert: Certificate, degree_bound: int
-) -> bool:
-    """Check the identity for n = 0 .. degree_bound.
-
-    Both sides of the divided identity are polynomials in n of degree at
-    most degree_bound (when the bound satisfies required_degree_bound),
-    so agreement at degree_bound + 1 integers proves the identity for
-    all n.
-    """
-    return all(
-        verify_telescoping(fam, rec, cert, n) for n in range(degree_bound + 1)
-    )
-
-
-def required_degree_bound(rec: Recurrence, cert: Certificate) -> int:
-    """A safe degree bound in n for verify_telescoping_all_n.
-
-    Left side has degree max_k deg c_k; the right side's R * n * r'/r
-    term has degree (n-degree of R) + 1.  One extra unit of margin is
-    included, giving 2 for the classical order-2, n-free-certificate
-    shape.
-    """
-    return max(rec.degree_in_n(), cert.n_degree() + 1) + 1
+    c_logd = fam.cofactor.derivative() / fam.cofactor
+    r_logd = fam.ratio.derivative() / fam.ratio
+    powers = [fam.ratio**k for k in range(rec.order + 1)]
+    previous = RatFunc.zero()  # R_{e-1}
+    for e in range(max(rec.degree_in_n(), len(cert.parts)) + 1):
+        part = cert.parts[e] if e < len(cert.parts) else RatFunc.zero()
+        lhs = RatFunc.zero()
+        for coeff, power in zip(rec.coeffs, powers):
+            lhs = lhs + coeff[e] * power
+        if lhs != part.derivative() + part * c_logd + previous * r_logd:
+            return False
+        previous = part
+    return True
 
 
 # -- closed-form recurrence and certificates ----------------------------------
@@ -425,7 +412,7 @@ def _try_shape(
         if assembled is None:
             continue
         rec, cert = assembled
-        if verify_telescoping_all_n(fam, rec, cert, required_degree_bound(rec, cert)):
+        if verify_telescoping(fam, rec, cert):
             return rec, cert
     return None
 
@@ -439,7 +426,7 @@ def discover(
     the first hit has minimal order.  The returned recurrence is
     normalized (primitive, positive leading coefficient) with the
     certificate scaled to match, and the pair has passed the exact
-    all-n verification.
+    verification for every n.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")

@@ -17,9 +17,9 @@ from telescopic import (
     RatFunc,
     Recurrence,
     SingularRecurrenceError,
-    boundary_vanishing_check,
     closed_form_certificates,
     closed_form_recurrence,
+    discover,
     integrate_01,
     log_of_rational,
     make_left_family,
@@ -36,20 +36,34 @@ from telescopic import (
 # -- boundary vanishing ---------------------------------------------------------
 
 
+def _vanishes_at_endpoints(fam, cert, n):
+    """Reference: R(n, x) * F(n, x) evaluated at x = 0 and x = 1."""
+    product = cert.at(n) * fam.at(n)
+    return product(0) == 0 and product(1) == 0
+
+
 def test_boundary_vanishing_for_closed_form_certificates():
-    params = ParameterPair(2, 1)
-    c1, c2 = closed_form_certificates(params)
-    left, right = make_left_family(params), make_right_family(params)
-    for n in range(4):
-        assert boundary_vanishing_check(left, c1, n)
-    assert boundary_vanishing_check(right, c2, 0)
+    # the structural invariant is what the proof checks; evaluation at
+    # n <= 6 agrees for closed-form and discovered certificates
+    rng = random.Random(604)
+    for params in [ParameterPair(2, 1)] + [random_params(rng, bound=12) for _ in range(3)]:
+        for fam, cert in zip(
+            (make_left_family(params), make_right_family(params)),
+            closed_form_certificates(params),
+        ):
+            _, discovered = discover(fam)
+            for c in (cert, discovered):
+                assert c.satisfies_boundary_invariant()
+                for n in range(7):
+                    assert _vanishes_at_endpoints(fam, c, n)
 
 
 def test_boundary_vanishing_fails_without_endpoint_zeros():
     params = ParameterPair(2, 1)
     left = make_left_family(params)
     constant_cert = Certificate((RatFunc.one(),))
-    assert not boundary_vanishing_check(left, constant_cert, 0)
+    assert not constant_cert.satisfies_boundary_invariant()
+    assert not _vanishes_at_endpoints(left, constant_cert, 0)
 
 
 # -- propagation ------------------------------------------------------------------
@@ -99,25 +113,51 @@ def test_propagate_singular_leading_coefficient():
 # -- change of variables ------------------------------------------------------------
 
 
+def _substitutes_at(params, substitution, n):
+    """Reference: F1(n, x(u)) * (-dx/du) == F2(n, u) at one numeric n."""
+    transformed = make_left_family(params).at(n).compose(substitution)
+    return transformed * (-substitution.derivative()) == make_right_family(params).at(n)
+
+
 def test_substitution_proof_reference_pair():
     params = ParameterPair(2, 1)
+    assert verify_substitution_proof(params)
     for n in range(4):
-        assert verify_substitution_proof(params, n)
+        assert _substitutes_at(params, RatFunc(Poly([1, -1]), Poly([1, 1])), n)
 
 
 def test_substitution_proof_random_pairs():
+    # the n-free verdict agrees with the per-n check: for the right map at
+    # n <= 8, and for a wrong one at n <= 3
     rng = random.Random(602)
     for _ in range(10):
         params = random_params(rng)
-        for n in range(6):
-            assert verify_substitution_proof(params, n)
+        b = params.b
+        right_map = RatFunc(Poly([b, -b]), Poly([b, 1]))
+        wrong_map = RatFunc(Poly([b, -b]), Poly([2 * b, 1]))
+        assert verify_substitution_proof(params)
+        assert all(_substitutes_at(params, right_map, n) for n in range(9))
+        assert not verify_substitution_proof(params, substitution=wrong_map)
+        assert not any(_substitutes_at(params, wrong_map, n) for n in range(4))
 
 
 def test_substitution_proof_rejects_wrong_map():
     params = ParameterPair(2, 1)
     b = params.b
     wrong = RatFunc(Poly([b, b]), Poly([b, 1]))  # numerator b(1+u)
-    assert not verify_substitution_proof(params, 0, substitution=wrong)
+    assert not verify_substitution_proof(params, substitution=wrong)
+
+
+def test_substitution_proof_needs_the_ratios_to_match_too():
+    # x(u) = (b - a t - b u)/(u + b + t) carries the cofactors onto each
+    # other for every t, so only n = 0 holds when t != 0
+    params = ParameterPair(Fraction(7, 2), Fraction(1, 3))
+    a, b = params.a, params.b
+    for t in (Fraction(1), Fraction(1, 2)):
+        cofactor_only = RatFunc(Poly([b - a * t, -b]), Poly([b + t, 1]))
+        assert not verify_substitution_proof(params, substitution=cofactor_only)
+        assert _substitutes_at(params, cofactor_only, 0)
+        assert not _substitutes_at(params, cofactor_only, 1)
 
 
 # -- the full pipeline ----------------------------------------------------------------

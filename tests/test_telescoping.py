@@ -22,10 +22,8 @@ from telescopic import (
     make_left_family,
     make_right_family,
     normalize_pair,
-    required_degree_bound,
     solve_nullspace,
     verify_telescoping,
-    verify_telescoping_all_n,
 )
 from telescopic.polynomials import poly_lcm
 from telescopic.telescoping import _ansatz_columns, _sample_matrix
@@ -35,6 +33,23 @@ def classical_pair(params):
     rec = closed_form_recurrence(params)
     left_cert, right_cert = closed_form_certificates(params)
     return rec, left_cert, right_cert
+
+
+def _holds_at(fam, rec, cert, n):
+    """Reference: the divided identity evaluated at one numeric n,
+    sum_k c_k(n) r^k == R(n)' + R(n) F'/F."""
+    lhs = RatFunc.zero()
+    for k in range(rec.order + 1):
+        lhs = lhs + rec.coefficient_at(k, n) * fam.ratio**k
+    r = cert.at(n)
+    return lhs == r.derivative() + r * fam.log_derivative(n)
+
+
+def _holds_by_sampling(fam, rec, cert):
+    """Reference verdict: the identity at n = 0..12.  Both sides have
+    degree <= 12 in n for every pair built in these tests, so this
+    decides the identity for all n."""
+    return all(_holds_at(fam, rec, cert, n) for n in range(13))
 
 
 # -- Recurrence / Certificate values ------------------------------------------
@@ -96,11 +111,8 @@ def test_boundary_invariant():
 def test_closed_forms_verify_at_reference_pair():
     params = ParameterPair(2, 1)
     rec, c1, c2 = classical_pair(params)
-    left, right = make_left_family(params), make_right_family(params)
-    bound = max(required_degree_bound(rec, c1), required_degree_bound(rec, c2))
-    assert bound == 2
-    assert verify_telescoping_all_n(left, rec, c1, bound)
-    assert verify_telescoping_all_n(right, rec, c2, bound)
+    assert verify_telescoping(make_left_family(params), rec, c1)
+    assert verify_telescoping(make_right_family(params), rec, c2)
 
 
 def test_closed_forms_verify_on_random_pairs():
@@ -108,22 +120,39 @@ def test_closed_forms_verify_on_random_pairs():
     for _ in range(10):
         params = random_params(rng)
         rec, c1, c2 = classical_pair(params)
-        assert verify_telescoping_all_n(
-            make_left_family(params), rec, c1, required_degree_bound(rec, c1)
-        )
-        assert verify_telescoping_all_n(
-            make_right_family(params), rec, c2, required_degree_bound(rec, c2)
-        )
+        for fam, cert in ((make_left_family(params), c1), (make_right_family(params), c2)):
+            assert verify_telescoping(fam, rec, cert)
+            assert _holds_by_sampling(fam, rec, cert)
 
 
 def test_verification_depends_on_large_n_too():
-    # agreement at n = 0..bound is what proves the identity; spot-check
-    # a few larger n directly as well
+    # the n-free verdict covers every n; spot-check a few larger n
+    # directly against the per-n reference
     params = ParameterPair(Fraction(7, 3), Fraction(1, 2))
     rec, c1, _ = classical_pair(params)
     fam = make_left_family(params)
+    assert verify_telescoping(fam, rec, c1)
     for n in (5, 11, 23):
-        assert verify_telescoping(fam, rec, c1, n)
+        assert _holds_at(fam, rec, c1, n)
+
+
+def test_error_only_at_the_top_power_of_n_fails():
+    # R_1 = den makes (R_1 c)' = 0, so the n^1 identity still holds and the
+    # error n^2 * den * r'/r shows only at e = len(parts) = 2
+    params = ParameterPair(2, 1)
+    rec, c1, c2 = classical_pair(params)
+    for fam, cert in ((make_left_family(params), c1), (make_right_family(params), c2)):
+        extended = Certificate(cert.parts + (RatFunc(fam.den),))
+        assert not verify_telescoping(fam, rec, extended)
+        assert not _holds_by_sampling(fam, rec, extended)
+
+
+def test_zero_trailing_part_still_verifies():
+    params = ParameterPair(Fraction(7, 2), Fraction(1, 3))
+    rec, c1, c2 = classical_pair(params)
+    for fam, cert in ((make_left_family(params), c1), (make_right_family(params), c2)):
+        padded = Certificate(cert.parts + (RatFunc.zero(), RatFunc.zero()))
+        assert verify_telescoping(fam, rec, padded)
 
 
 def test_normalize_pair_preserves_verification():
@@ -136,7 +165,7 @@ def test_normalize_pair_preserves_verification():
         scaled_rec = Recurrence(rec.order, tuple(q * c for c in rec.coeffs))
         scaled_cert = c1.scaled(q)
         # jointly scaled pairs still verify...
-        assert verify_telescoping_all_n(fam, scaled_rec, scaled_cert, 2)
+        assert verify_telescoping(fam, scaled_rec, scaled_cert)
         # ...and normalize back to one canonical pair
         norm_rec, (norm_cert,) = normalize_pair(scaled_rec, (scaled_cert,))
         base_rec, (base_cert,) = normalize_pair(rec, (c1,))
@@ -148,7 +177,26 @@ def test_mismatched_scaling_fails_verification():
     params = ParameterPair(2, 1)
     rec, c1, _ = classical_pair(params)
     fam = make_left_family(params)
-    assert not verify_telescoping_all_n(fam, rec, c1.scaled(Fraction(2)), 2)
+    assert not verify_telescoping(fam, rec, c1.scaled(Fraction(2)))
+
+
+def _mutated(rng, rec, cert):
+    """One random coefficient of the recurrence (possibly raising its
+    degree in n) or of a certificate part (possibly a new n^1 part) moved."""
+    delta = Fraction(rng.randint(1, 9), rng.randint(1, 9)) * rng.choice([1, -1])
+    if rng.random() < 0.5:
+        k = rng.randrange(rec.order + 1)
+        coeffs = list(rec.coeffs)
+        pc = list(coeffs[k].coeffs) + [Fraction(0)]
+        pc[rng.randrange(len(pc))] += delta
+        coeffs[k] = Poly(pc)
+        return Recurrence(rec.order, tuple(coeffs)), cert
+    parts = list(cert.parts) + [RatFunc.zero()]
+    t = rng.randrange(len(parts))
+    pc = list(parts[t].num.coeffs) + [Fraction(0)] * 6
+    pc[rng.randrange(6)] += delta
+    parts[t] = RatFunc(Poly(pc), parts[t].den)
+    return rec, Certificate(tuple(parts))
 
 
 def test_single_coefficient_mutations_fail():
@@ -156,24 +204,31 @@ def test_single_coefficient_mutations_fail():
     params = ParameterPair(2, 1)
     rec, c1, _ = classical_pair(params)
     fam = make_left_family(params)
-    bound = required_degree_bound(rec, c1)
     for _ in range(60):
-        if rng.random() < 0.5:
-            k = rng.randrange(rec.order + 1)
-            j = rng.randrange(rec.coeffs[k].degree() + 1)
-            coeffs = list(rec.coeffs)
-            pc = list(coeffs[k].coeffs)
-            pc[j] += Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            coeffs[k] = Poly(pc)
-            mutated_rec, mutated_cert = Recurrence(rec.order, tuple(coeffs)), c1
+        mutated_rec, mutated_cert = _mutated(rng, rec, c1)
+        assert not verify_telescoping(fam, mutated_rec, mutated_cert)
+
+
+def test_verdict_matches_the_per_n_reference_on_mutations():
+    # every fourth case is a jointly scaled pair, which must still verify
+    rng = random.Random(408)
+    verdicts = []
+    for case in range(160):
+        params = random_params(rng, bound=12)
+        rec, c1, c2 = classical_pair(params)
+        fam, cert = rng.choice(
+            ((make_left_family(params), c1), (make_right_family(params), c2))
+        )
+        if case % 4 == 0:
+            q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            rec = Recurrence(rec.order, tuple(q * c for c in rec.coeffs))
+            cert = cert.scaled(q)
         else:
-            part = c1.parts[0]
-            pc = list(part.num.coeffs)
-            j = rng.randrange(len(pc))
-            pc[j] += Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            mutated_rec = rec
-            mutated_cert = Certificate((RatFunc(Poly(pc), part.den),))
-        assert not verify_telescoping_all_n(fam, mutated_rec, mutated_cert, bound)
+            rec, cert = _mutated(rng, rec, cert)
+        verdict = verify_telescoping(fam, rec, cert)
+        assert verdict == _holds_by_sampling(fam, rec, cert)
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 40  # 120 mutations all fail
 
 
 # -- nullspace solver ----------------------------------------------------------
@@ -250,9 +305,8 @@ def test_discover_random_pairs_share_recurrence_with_closed_form():
             rec, cert = discover(fam)
             assert rec == expected_rec
             assert cert.n_degree() == 0
-            assert verify_telescoping_all_n(
-                fam, rec, cert, required_degree_bound(rec, cert)
-            )
+            assert verify_telescoping(fam, rec, cert)
+            assert _holds_by_sampling(fam, rec, cert)
 
 
 def test_discover_beta_family_order_one():
@@ -263,7 +317,8 @@ def test_discover_beta_family_order_one():
     rec, cert = discover(beta, max_order=1, max_cert_degree=4)
     assert rec == Recurrence(1, (Poly([-1, -1]), Poly([6, 4])))
     assert cert == Certificate((RatFunc(Poly([0, -1, 3, -2])),))
-    assert verify_telescoping_all_n(beta, rec, cert, required_degree_bound(rec, cert))
+    assert verify_telescoping(beta, rec, cert)
+    assert _holds_by_sampling(beta, rec, cert)
 
 
 def _per_sample_columns(fam, n, max_order=2, max_cert_degree=4):
