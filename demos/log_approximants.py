@@ -2,9 +2,11 @@
 
 The right-hand integral sequence R(n) lives in the Q-span of {1, L}
 with L = log(1 + (a-b)/((a+1)b)) / (a-b), and R(n) -> 0 geometrically,
-so each row yields a rational q/p approximating L.  The table shows the
-error shrinking by roughly the square of the smaller characteristic
-root per step, and the empirical exponent column crawling upward.
+so each row yields a rational q/p approximating L.  The linear form
+R(n) decays like the smaller characteristic root t, and p grows like the
+larger one, 1/((a-b)^2 t), so the table shows the error |L - q/p|
+shrinking by roughly ((a-b) t)^2 per step (t^2 only when a - b = 1), and
+the empirical exponent column crawling upward.
 """
 
 import argparse

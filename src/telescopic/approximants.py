@@ -8,10 +8,15 @@ because all R(n) live in the Q-span of {1, Lambda}.  Since R(n) -> 0
 geometrically, q_n / p_n is a sequence of rational approximations to
 Lambda, and (a-b) * Lambda = log(1 + (a-b)/((a+1)b)).
 
-Rows are produced by exact LogCombination propagation of the recurrence
-(the recurrence is numerically unstable in the decaying direction, so a
-floating iteration would be useless); floats appear only in the final
-reported columns, at a caller-chosen precision.
+The recurrence is linear, so it carries the pairs (p_n, q_n) exactly:
+(p_0, q_0) = (1, 0), (p_1, q_1) comes from decomposing R(1), and every
+later pair is the same combination of the two before it as R(n) is of
+R(n-1) and R(n-2).  The recurrence is numerically unstable in the
+decaying direction, so a floating iteration would be useless; floats
+appear only in the reported columns.  There Lambda is evaluated once,
+at a working precision sized from the table's largest cancellation
+between p_n * Lambda and q_n, and each linear form p_n * Lambda - q_n
+is rounded from it to the caller-chosen precision.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import mpmath
 from .errors import SpanError, TelescopicError
 from .families import ParameterPair, make_right_family
 from .integration import LogCombination, integrate_01, log_of_rational, logcomb_to_float
-from .prove import propagate_recurrence
 from .serialize import rational_to_str
 from .telescoping import closed_form_recurrence
 
@@ -76,10 +80,64 @@ def decompose_against(value: LogCombination, lam: LogCombination) -> tuple[Fract
     return p, q
 
 
+def _propagate_pairs(
+    params: ParameterPair, first: tuple[Fraction, Fraction], n_max: int
+) -> list[tuple[Fraction, Fraction]]:
+    """(p_n, q_n) for n = 0..n_max from (p_0, q_0) = (1, 0) and `first`
+    = (p_1, q_1), by the closed-form recurrence on each coordinate."""
+    rec = closed_form_recurrence(params)
+    pairs = [(Fraction(1), Fraction(0)), first]
+    for n in range(n_max - 1):
+        lead = rec.coefficient_at(2, n)
+        w0 = -rec.coefficient_at(0, n) / lead
+        w1 = -rec.coefficient_at(1, n) / lead
+        (p0, q0), (p1, q1) = pairs[n], pairs[n + 1]
+        pairs.append((w0 * p0 + w1 * p1, w0 * q0 + w1 * q1))
+    return pairs[: n_max + 1]
+
+
+def _linear_forms(
+    lam: LogCombination, pairs: list[tuple[Fraction, Fraction]], precision_bits: int
+) -> list[mpmath.mpf]:
+    """|p * Lambda - q| for each pair, rounded to precision_bits.
+
+    Lambda is evaluated once, at precision_bits + 64 guard bits + the
+    largest cancellation mag(p * Lambda) - mag(p * Lambda - q) + 8 slack
+    bits.  The cancellation is guessed from the last pair's numerators
+    and measured on the forms; when the measurement exceeds the guess,
+    the working precision is widened and Lambda evaluated again.
+    """
+    p_last, q_last = pairs[-1]
+    cancellation = p_last.numerator.bit_length() + q_last.numerator.bit_length()
+    while True:
+        workbits = precision_bits + 64 + cancellation + 8
+        lam_value = logcomb_to_float(lam, workbits)
+        # p * Lambda - q = (P * Lambda - Q) / D over D = den(p) * den(q)
+        scaled = []
+        worst = 0
+        with mpmath.workprec(workbits):
+            for p, q in pairs:
+                product = lam_value * (p.numerator * q.denominator)
+                difference = product - q.numerator * p.denominator
+                if not difference:
+                    worst = workbits  # no bit survived: it cancels at least this far
+                    break
+                worst = max(worst, mpmath.mag(product) - mpmath.mag(difference))
+                scaled.append((difference, p.denominator * q.denominator))
+        # The rounding error of each product is below 2^(mag(product) + 1
+        # - workbits); within the guess, |difference| is at least
+        # 2^(mag(product) - cancellation - 1), so every difference carries
+        # precision_bits + 70 correct bits, however far the guess was off.
+        if worst <= cancellation:
+            with mpmath.workprec(precision_bits):
+                return [abs(difference / denominator) for difference, denominator in scaled]
+        cancellation = worst
+
+
 def approximant_table(
     params: ParameterPair, n_max: int, precision_bits: int = 256
 ) -> list[ApproximantRow]:
-    """Rows n = 0..n_max from exact recurrence propagation.
+    """Rows n = 0..n_max from exact propagation of the pairs (p_n, q_n).
 
     Reported columns: value = q/p, abs_error = |Lambda - q/p| (computed
     as |R(n)|/p, which is the same number), and the empirical exponent
@@ -91,17 +149,16 @@ def approximant_table(
         raise ValueError("precision_bits must be >= 64")
     right = make_right_family(params)
     lam = integrate_01(right.at(0))
-    rec = closed_form_recurrence(params)
-    initial = [lam, integrate_01(right.at(1))]
-    values = propagate_recurrence(rec, initial, max(n_max, rec.order - 1))
-    rows: list[ApproximantRow] = []
-    for n in range(n_max + 1):
-        p, q = decompose_against(values[n], lam)
+    first = decompose_against(integrate_01(right.at(1)), lam)
+    pairs = _propagate_pairs(params, first, n_max)
+    for n, (p, _) in enumerate(pairs):
         if p == 0:
             raise SpanError(f"approximant with p=0 at n={n}")
+    linear_forms = _linear_forms(lam, pairs, precision_bits)
+    rows: list[ApproximantRow] = []
+    for n, ((p, q), linear_form) in enumerate(zip(pairs, linear_forms)):
         with mpmath.workprec(precision_bits):
             value = _to_mpf(q / p)
-            linear_form = abs(logcomb_to_float(values[n], precision_bits))
             abs_error = linear_form / abs(_to_mpf(p))
             if abs_error == 0:
                 exponent = mpmath.inf

@@ -1,6 +1,7 @@
 """Rational approximation tables: span decomposition, error columns,
 decay-rate estimation, and CSV export."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,15 +15,18 @@ from telescopic import (
     ParameterPair,
     SpanError,
     approximant_table,
+    closed_form_recurrence,
     decay_rate_estimate,
     decompose_against,
     integrate_01,
     log_of_rational,
     logcomb_to_float,
     make_right_family,
+    propagate_recurrence,
     rows_to_csv,
     target_constant,
 )
+import telescopic.approximants
 
 
 # -- target constant ---------------------------------------------------------------
@@ -130,6 +134,97 @@ def test_table_errors_strictly_decrease():
         rows = approximant_table(params, 20)
         errors = [row.abs_error for row in rows]
         assert all(late < early for early, late in zip(errors, errors[1:])), params
+
+
+def _reference_table(params, n_max, precision_bits=256):
+    """The table by the direct route: propagate the values R(n) as
+    LogCombinations, then decompose and evaluate every row on its own."""
+    right = make_right_family(params)
+    lam = integrate_01(right.at(0))
+    initial = [lam, integrate_01(right.at(1))]
+    values = propagate_recurrence(closed_form_recurrence(params), initial, max(n_max, 1))
+    rows = []
+    for n in range(n_max + 1):
+        p, q = decompose_against(values[n], lam)
+        with mpmath.workprec(precision_bits):
+            ratio = q / p
+            value = mpmath.mpf(ratio.numerator) / ratio.denominator
+            p_float = abs(mpmath.mpf(p.numerator) / p.denominator)
+            abs_error = abs(logcomb_to_float(values[n], precision_bits)) / p_float
+            exponent = 1 + mpmath.ln(p_float) / (-mpmath.ln(abs_error))
+            rows.append(ApproximantRow(n, p, q, +value, +abs_error, +exponent))
+    return rows
+
+
+def _assert_matches_reference(params, n_max, precision_bits):
+    rows = approximant_table(params, n_max, precision_bits)
+    reference = _reference_table(params, n_max, precision_bits)
+    assert rows == reference, (params, n_max, precision_bits)
+    assert rows_to_csv(rows, precision_bits) == rows_to_csv(reference, precision_bits)
+
+
+def test_table_matches_reference_on_reference_pair():
+    for n_max in (0, 1, 150):
+        _assert_matches_reference(ParameterPair(2, 1), n_max, 256)
+
+
+@pytest.mark.parametrize("precision_bits", [64, 256, 1024])
+def test_table_matches_reference_on_random_pairs(precision_bits):
+    rng = random.Random(704)
+    for _ in range(6):
+        _assert_matches_reference(random_params(rng), 40, precision_bits)
+
+
+@pytest.mark.parametrize(
+    "params, n_max, precision_bits, digest",
+    [
+        (ParameterPair(2, 1), 300, 256,
+         "477523d329791620b70dd2a207fdf2b8cd0eb74f3d3d38168ebae6974c058b7b"),
+        (ParameterPair(Fraction(7, 2), Fraction(1, 3)), 120, 64,
+         "ba6a4a45a9b7efb7b5a835f8b8feb81f435289e1c175c5e757f584c03340ebaf"),
+        (ParameterPair(Fraction(7, 2), Fraction(1, 3)), 120, 1024,
+         "1db958b8dc30605aec78442972da5252903c7765c3a3b9cd8e36766423c28513"),
+    ],
+)
+def test_table_csv_golden_digests(params, n_max, precision_bits, digest):
+    # digests of the CSV written by the per-row LogCombination evaluation
+    rows = approximant_table(params, n_max, precision_bits)
+    text = rows_to_csv(rows, precision_bits)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _count_log_evaluations(monkeypatch):
+    calls = []
+    original = telescopic.approximants.logcomb_to_float
+
+    def counting(value, precision_bits):
+        calls.append(precision_bits)
+        return original(value, precision_bits)
+
+    monkeypatch.setattr(telescopic.approximants, "logcomb_to_float", counting)
+    return calls
+
+
+def test_table_evaluates_the_logarithm_at_most_twice(monkeypatch):
+    calls = _count_log_evaluations(monkeypatch)
+    approximant_table(ParameterPair(2, 1), 200)
+    assert 1 <= len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "params, n_max, evaluations",
+    [
+        (ParameterPair(3, 1), 40, 1),  # the first working precision suffices
+        (ParameterPair(5, 1), 5, 2),  # the measured cancellation widens it
+    ],
+)
+def test_table_precision_branches_match_reference(monkeypatch, params, n_max, evaluations):
+    calls = _count_log_evaluations(monkeypatch)
+    rows = approximant_table(params, n_max)
+    assert len(calls) == evaluations
+    assert calls == sorted(set(calls))
+    monkeypatch.undo()
+    assert rows == _reference_table(params, n_max)
 
 
 def test_table_validates_arguments():
