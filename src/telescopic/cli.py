@@ -22,7 +22,7 @@ from .families import ParameterPair, make_left_family, make_right_family
 from .integration import integrate_01, logcomb_to_float
 from .prove import prove_identity
 from .quadrature import quad_01
-from .telescoping import discover
+from .telescoping import discover, verify_telescoping
 
 
 def _rational(text: str) -> Fraction:
@@ -158,8 +158,10 @@ def cmd_derive(params: ParameterPair, args: argparse.Namespace) -> int:
             label = "certificate" if len(cert.parts) == 1 else f"certificate n^{i} part"
             print(f"  {label}: {part}")
         print(f"  certificate degree in n: {cert.n_degree()}")
-        # discover returns only pairs that passed verify_telescoping
-        print("  verified for all n: True")
+        verified = verify_telescoping(fam, rec, cert)
+        print(f"  verified for all n: {verified}")
+        if not verified:
+            return 1
     shared = results["left"] == results["right"]
     print(f"families share one recurrence: {shared}")
     return 0 if shared else 1

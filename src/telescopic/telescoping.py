@@ -17,14 +17,13 @@ every n without sampling any n.
 
 Discovery follows the differentiating-under-the-integral-sign ansatz:
 R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Its columns
-are linear in n, built once per family as polynomials A + n * B.  For
-each trial order and numerator degree it solves exact linear systems at
-consecutive numeric n, reconstructs the n-dependence of the solution ray
-by rational interpolation of coordinate ratios (the per-n nullspace
-vectors carry an arbitrary scale, so the ratios, not the raw
-coordinates, are the well-defined data), clears denominators to a
-primitive polynomial tuple, and confirms the candidate with the exact
-verification above.
+are linear in n, built once per family as polynomials A + n * B, so
+each trial order and numerator degree asks for the polynomial kernel of
+a matrix pencil.  That kernel is exact linear algebra over Q: one block
+system per degree in n of the solution, tried in increasing degree, with
+no numeric n sampled and no interpolation.  The block system holds the
+divided identity coefficient by coefficient, so a discovered pair
+satisfies it by construction and is not verified again here.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Sequence
 
 from .errors import AnsatzExhaustedError
 from .families import IntegrandFamily, ParameterPair
-from .polynomials import Poly, _int_coeffs, _int_primitive, poly_gcd, poly_lcm
+from .polynomials import Poly, _int_coeffs, _int_primitive, poly_lcm
 from .ratfuncs import RatFunc
 
 _X_TIMES_X_MINUS_1 = Poly([0, -1, 1])  # x(x-1), the forced certificate factor
@@ -256,20 +255,21 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
 # -- discovery ----------------------------------------------------------------
 
 
-_Columns = tuple[list[Poly], list[tuple[Poly, Poly]]]
+_Pencil = list[tuple[Poly, Poly]]  # columns A_i + n * B_i, as pairs (A_i, B_i)
 
 
 def _ansatz_columns(
     fam: IntegrandFamily, max_order: int, max_cert_degree: int
-) -> _Columns:
+) -> tuple[_Pencil, _Pencil]:
     """The divided identity's columns for the largest shape, built once.
 
     Unknowns are (c_0 .. c_rho, m_0 .. m_{d-2}) where the certificate is
     R = x(x-1) (m_0 + m_1 x + ...) / Q with Q = den(c).  As F'/F is
-    c'/c + n * r'/r, c_k multiplies A = r^k and m_j multiplies A + n * B
-    with A = -(col' + col * c'/c), B = -col * r'/r, col = x(x-1) x^j / Q,
-    all over one common denominator, which leaves the kernel unchanged.
-    A shape (rho, d) takes the first rho + 1 A's and d - 1 (A, B) pairs.
+    c'/c + n * r'/r, every unknown multiplies a column A + n * B: c_k
+    has A = r^k and B = 0, and m_j has A = -(col' + col * c'/c) and
+    B = -col * r'/r with col = x(x-1) x^j / Q, all over one common
+    denominator, which leaves the kernel unchanged.  A shape (rho, d)
+    takes the first rho + 1 recurrence columns and d - 1 certificate ones.
     """
     c_logd = fam.cofactor.derivative() / fam.cofactor
     r_logd = fam.ratio.derivative() / fam.ratio
@@ -283,104 +283,55 @@ def _ansatz_columns(
     def over_common(f: RatFunc) -> Poly:
         return f.num * common.exact_div(f.den)
 
-    return [over_common(f) for f in rec], [tuple(map(over_common, ab)) for ab in cert]
+    return (
+        [(over_common(f), Poly.zero()) for f in rec],
+        [(over_common(a), over_common(b)) for a, b in cert],
+    )
 
 
-def _sample_matrix(
-    columns: _Columns, rho: int, d: int, n_value: int
-) -> list[list[Fraction]]:
-    """Homogeneous system for the divided identity at one numeric n: the
-    coefficients in x of the shape's columns A + n * B, with no gcd."""
-    rec, cert = columns
-    polys = rec[: rho + 1] + [a + n_value * b for a, b in cert[: d - 1]]
-    nrows = max(p.degree() for p in polys) + 1
-    return [[p[e] for p in polys] for e in range(nrows)]
+def _polynomial_kernel(pencil: _Pencil) -> list[Poly] | None:
+    """A least-degree polynomial vector v(n) != 0 with
+    sum_i (A_i + n * B_i) * v_i(n) = 0, as Polys in n; None if there is none.
 
-
-def _choose_vector(basis: list[tuple[Fraction, ...]], rho: int) -> tuple[Fraction, ...]:
-    def m_part_degree(vec):
-        deg = -1
-        for j, v in enumerate(vec[rho + 1 :]):
-            if v != 0:
-                deg = j
-        return deg
-
-    return min(basis, key=lambda v: (m_part_degree(v), v))
-
-
-def _rational_interpolate(
-    xs: Sequence[int], ys: Sequence[Fraction], max_deg: int
-) -> tuple[Poly, Poly] | None:
-    """Minimal rational function U/V with deg U, deg V <= max_deg matching
-    all samples with V nonvanishing there; None if no such function."""
-    for total in range(2 * max_deg + 1):
-        for deg_num in range(min(total, max_deg) + 1):
-            deg_den = total - deg_num
-            if deg_den > max_deg:
-                continue
-            rows = []
-            for x, y in zip(xs, ys):
-                x = Fraction(x)
-                row = [x**i for i in range(deg_num + 1)]
-                row += [-y * x**i for i in range(deg_den + 1)]
+    A kernel vector of degree D, v(n) = sum_t n^t * v_t, is a kernel
+    vector of one block system over Q with one row per coefficient of
+    n^s x^e:  sum_i A_i[e] * v_{s,i} + B_i[e] * v_{s-1,i} = 0.  Trying
+    D = 0, 1, ... in turn, the first hit has least degree.  By
+    Kronecker's theory of singular pencils the least degree is at most
+    the generic rank, below len(pencil), so the loop is exhaustive.
+    """
+    width = len(pencil)
+    nrows = max(max(a.degree(), b.degree()) for a, b in pencil) + 1
+    # the rank at one n is at most the generic rank, so no kernel at n = 0
+    # means no kernel at any n
+    if not solve_nullspace([[a[e] for a, _ in pencil] for e in range(nrows)]):
+        return None
+    for degree in range(width):
+        rows = []  # unknown v_{t,i} is column t * width + i
+        for s in range(degree + 2):
+            for e in range(nrows):
+                row = [Fraction(0)] * (width * (degree + 1))
+                for i, (a, b) in enumerate(pencil):
+                    if s <= degree:
+                        row[s * width + i] = a[e]
+                    if s > 0:
+                        row[(s - 1) * width + i] = b[e]
                 rows.append(row)
-            for vec in solve_nullspace(rows):
-                u = Poly(vec[: deg_num + 1])
-                v = Poly(vec[deg_num + 1 :])
-                if v.is_zero():
-                    continue
-                if any(v(x) == 0 for x in xs):
-                    continue
-                lead = v.leading_coefficient()
-                return (
-                    Poly(c / lead for c in u.coeffs),
-                    v.monic(),
-                )
-            # no valid vector at this degree split; try the next
+        basis = solve_nullspace(rows)
+        if basis:
+            vec = basis[0]
+            return [Poly(vec[i::width]) for i in range(width)]
     return None
 
 
-def _reconstruct_polynomials(
-    vecs: list[tuple[Fraction, ...]], xs: Sequence[int], bound: int, rho: int
-) -> list[Poly] | None:
-    """Recover the primitive polynomial tuple behind per-sample nullspace
-    rays: interpolate each coordinate's ratio to a reference coordinate,
-    clear denominators, and strip the common polynomial factor."""
-    ncoords = len(vecs[0])
-    preference = [rho] + [i for i in range(ncoords) if i != rho]
-    ref = next(
-        (i for i in preference if all(v[i] != 0 for v in vecs)),
-        None,
-    )
-    if ref is None:
-        return None
-    fractions_in_n: list[tuple[Poly, Poly]] = []
-    for i in range(ncoords):
-        ys = [v[i] / v[ref] for v in vecs]
-        uv = _rational_interpolate(xs, ys, bound)
-        if uv is None:
-            return None
-        fractions_in_n.append(uv)
-    common = reduce(poly_lcm, (v for _, v in fractions_in_n))
-    polys = [u * common.exact_div(v) for u, v in fractions_in_n]
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        return None
-    g = reduce(poly_gcd, nonzero)
-    if g.degree() > 0:
-        polys = [p.exact_div(g) if not p.is_zero() else p for p in polys]
-    if any(p.degree() > bound for p in polys):
-        return None
-    return polys
-
-
 def _assemble(
-    fam: IntegrandFamily, polys: list[Poly], rho: int, d: int
-) -> tuple[Recurrence, Certificate] | None:
+    fam: IntegrandFamily, polys: list[Poly], rho: int
+) -> tuple[Recurrence, Certificate]:
     rec_polys = polys[: rho + 1]
     m_polys = polys[rho + 1 :]
-    if rec_polys[-1].is_zero():
-        return None
+    # c_rho != 0: a kernel vector with c_rho = 0 is a relation of a smaller
+    # order, found first, and none has order 0 (c_0(n) * int F = 0 forces
+    # c_0 = 0, then (R F)' = 0 and F(n, 0) = 0 force R = 0)
     rec = Recurrence(rho, tuple(rec_polys))
     n_degree = max((p.degree() for p in m_polys), default=-1)
     q = fam.cofactor.den
@@ -394,29 +345,6 @@ def _assemble(
     return rec, cert
 
 
-def _try_shape(
-    fam: IntegrandFamily, columns: _Columns, rho: int, d: int
-) -> tuple[Recurrence, Certificate] | None:
-    for bound in range(rho + 1, 2 * rho + 3):
-        xs = list(range(2 * bound + 3))
-        vecs = []
-        for n_value in xs:
-            basis = solve_nullspace(_sample_matrix(columns, rho, d, n_value))
-            if not basis:
-                return None  # no relation of this shape at this n
-            vecs.append(_choose_vector(basis, rho))
-        polys = _reconstruct_polynomials(vecs, xs, bound, rho)
-        if polys is None:
-            continue  # interpolation mismatch: raise the degree bound
-        assembled = _assemble(fam, polys, rho, d)
-        if assembled is None:
-            continue
-        rec, cert = assembled
-        if verify_telescoping(fam, rec, cert):
-            return rec, cert
-    return None
-
-
 def discover(
     fam: IntegrandFamily, max_order: int = 2, max_cert_degree: int = 4
 ) -> tuple[Recurrence, Certificate]:
@@ -425,17 +353,19 @@ def discover(
     Trial orders and certificate-numerator degrees increase from 1, so
     the first hit has minimal order.  The returned recurrence is
     normalized (primitive, positive leading coefficient) with the
-    certificate scaled to match, and the pair has passed the exact
-    verification for every n.
+    certificate scaled to match.  The pair is a kernel vector of the
+    divided identity's coefficients in n and x, so it holds for every n
+    by construction; callers that record it as proof check it with
+    verify_telescoping.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if max_cert_degree < 1:
         raise ValueError("max_cert_degree must be >= 1")
-    columns = _ansatz_columns(fam, max_order, max_cert_degree)
+    rec_columns, cert_columns = _ansatz_columns(fam, max_order, max_cert_degree)
     for rho in range(1, max_order + 1):
         for d in range(1, max_cert_degree + 1):
-            found = _try_shape(fam, columns, rho, d)
-            if found is not None:
-                return found
+            polys = _polynomial_kernel(rec_columns[: rho + 1] + cert_columns[: d - 1])
+            if polys is not None:
+                return _assemble(fam, polys, rho)
     raise AnsatzExhaustedError(max_order, max_cert_degree)

@@ -140,6 +140,14 @@ def test_derive_reports_both_families(capsys):
     assert "families share one recurrence: True" in out
 
 
+def test_derive_reports_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_telescoping", lambda fam, rec, cert: False)
+    code, out, _ = run(["derive", "--a", "2", "--b", "1"], capsys)
+    assert code == 1
+    assert "verified for all n: False" in out
+    assert "verified for all n: True" not in out
+
+
 def test_derive_coefficient_pattern(capsys):
     # (a, b) = (3, 2): middle coefficient is -(2n+3) * 17
     code, out, _ = run(["derive", "--a", "3", "--b", "2"], capsys)

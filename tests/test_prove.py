@@ -273,6 +273,28 @@ def test_each_n_is_integrated_once(monkeypatch):
     assert len(seen) == 2 * 6  # both families, n = 0..5
 
 
+def test_each_discovered_pair_is_verified_once(monkeypatch):
+    # discover's kernel is the divided identity itself, so the check
+    # sequence's verify_telescoping is the one check of each family
+    import telescopic.prove as prove_module
+    import telescopic.telescoping as telescoping_module
+
+    calls = 0
+    verify = telescoping_module.verify_telescoping
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return verify(*args)
+
+    monkeypatch.setattr(telescoping_module, "verify_telescoping", counting)
+    monkeypatch.setattr(prove_module, "verify_telescoping", counting)
+    discover(make_left_family(ParameterPair(2, 1)))
+    assert calls == 0
+    assert prove_identity(ParameterPair(2, 1), mode="discover").proved
+    assert calls == 2
+
+
 def test_reverify_reruns_the_short_extra_range():
     # extra_n = 0 checks fewer n directly than the order-2 base cases
     proof = prove_identity(ParameterPair(2, 1), extra_n=0)

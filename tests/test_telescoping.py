@@ -26,7 +26,7 @@ from telescopic import (
     verify_telescoping,
 )
 from telescopic.polynomials import poly_lcm
-from telescopic.telescoping import _ansatz_columns, _sample_matrix
+from telescopic.telescoping import _ansatz_columns, _polynomial_kernel
 
 
 def classical_pair(params):
@@ -310,9 +310,7 @@ def test_discover_random_pairs_share_recurrence_with_closed_form():
 
 
 def test_discover_beta_family_order_one():
-    # int_0^1 x^n (1-x)^n dx satisfies (n+1) I(n) = 2(2n+3) I(n+1);
-    # the per-n solution rays here have content that varies with n, so
-    # this pins the scale-invariant reconstruction.
+    # int_0^1 x^n (1-x)^n dx satisfies (n+1) I(n) = 2(2n+3) I(n+1)
     beta = IntegrandFamily(Poly.one())
     rec, cert = discover(beta, max_order=1, max_cert_degree=4)
     assert rec == Recurrence(1, (Poly([-1, -1]), Poly([6, 4])))
@@ -350,16 +348,121 @@ def test_shared_columns_give_the_per_sample_kernels():
         params = random_params(rng, bound=15)
         families += [make_left_family(params), make_right_family(params)]
     for fam in families:
-        columns = _ansatz_columns(fam, 2, 4)
+        rec_columns, cert_columns = _ansatz_columns(fam, 2, 4)
         for n in range(9):
             reference = _per_sample_columns(fam, n)
             for rho in range(3):
                 for d in range(1, 5):
-                    basis = solve_nullspace(_sample_matrix(columns, rho, d, n))
+                    pencil = rec_columns[: rho + 1] + cert_columns[: d - 1]
+                    polys = [a + n * b for a, b in pencil]
+                    nrows = max(p.degree() for p in polys) + 1
+                    basis = solve_nullspace([[p[e] for p in polys] for e in range(nrows)])
                     expected = solve_nullspace(_per_sample_matrix(reference, rho, d))
                     assert basis == expected
                     if (rho, d) == (2, 4):
                         assert basis  # the classical shape always has a relation
+
+
+# -- polynomial kernel of a pencil ------------------------------------------------
+
+
+_X = Poly([0, 1])
+
+
+def _has_kernel_of_degree(pencil, degree):
+    """Reference: whether some nonzero v(n) of degree <= degree has
+    sum_i (A_i + n B_i) v_i(n) = 0.  That sum has degree <= degree + 1
+    in n, so it is zero once it is zero at n = 0 .. degree + 1."""
+    nrows = max(max(a.degree(), b.degree()) for a, b in pencil) + 1
+    rows = []
+    for n in range(degree + 2):
+        for e in range(nrows):
+            rows.append(
+                [(a[e] + n * b[e]) * n**t for t in range(degree + 1) for a, b in pencil]
+            )
+    return bool(solve_nullspace(rows))
+
+
+def test_polynomial_kernel_of_the_l2_block():
+    # columns n, nx - 1, -x: the kernel (1, n, n^2) has degree 2, which no
+    # shape of a natural family reaches
+    pencil = [(Poly.zero(), Poly.one()), (Poly([-1]), _X), (-_X, Poly.zero())]
+    assert _polynomial_kernel(pencil) == [Poly([1]), Poly([0, 1]), Poly([0, 0, 1])]
+    assert not _has_kernel_of_degree(pencil, 1)
+
+
+def test_polynomial_kernel_of_a_full_rank_pencil_is_none():
+    # 1 and x are independent at n = 0 already
+    assert _polynomial_kernel([(Poly.one(), Poly.zero()), (_X, Poly.one())]) is None
+    # 1 and n x are dependent at n = 0 only, so every degree is tried
+    pencil = [(Poly.one(), Poly.zero()), (Poly.zero(), _X)]
+    assert _polynomial_kernel(pencil) is None
+    assert not _has_kernel_of_degree(pencil, 1)
+
+
+def test_polynomial_kernel_is_a_least_degree_kernel_vector():
+    rng = random.Random(409)
+    families = [IntegrandFamily(Poly.one())]
+    for _ in range(5):
+        params = random_params(rng, bound=15)
+        families += [make_left_family(params), make_right_family(params)]
+    degrees = []
+    for fam in families:
+        rec_columns, cert_columns = _ansatz_columns(fam, 2, 4)
+        for rho in range(3):
+            for d in range(1, 5):
+                pencil = rec_columns[: rho + 1] + cert_columns[: d - 1]
+                polys = _polynomial_kernel(pencil)
+                if polys is None:
+                    assert not _has_kernel_of_degree(pencil, len(pencil) - 1)
+                    continue
+                degree = max(p.degree() for p in polys)
+                assert degree >= 0
+                for n in range(13):
+                    total = sum(
+                        ((a + n * b) * v(n) for (a, b), v in zip(pencil, polys)),
+                        Poly.zero(),
+                    )
+                    assert total.is_zero()
+                assert degree == 0 or not _has_kernel_of_degree(pencil, degree - 1)
+                degrees.append(degree)
+    assert degrees and max(degrees) >= 1  # some relation depends on n
+
+
+def _sympy_expr(sympy, poly, var):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * var**i for i, c in enumerate(poly)),
+        sympy.Integer(0),
+    )
+
+
+@pytest.mark.parametrize(
+    "fam, max_order",
+    [
+        (make_left_family(ParameterPair(2, 1)), 2),
+        (make_right_family(ParameterPair(Fraction(7, 2), Fraction(1, 3))), 2),
+        (IntegrandFamily(Poly.one()), 1),
+    ],
+    ids=["left-2-1", "right-7/2-1/3", "beta"],
+)
+def test_discovered_pairs_hold_in_sympy(fam, max_order):
+    # an independent oracle: F'/F = d/dx[log c + n log r] with a symbolic n
+    sympy = pytest.importorskip("sympy")
+    n, x = sympy.symbols("n x")
+
+    def as_expr(f):
+        return _sympy_expr(sympy, f.num, x) / _sympy_expr(sympy, f.den, x)
+
+    c, r = as_expr(fam.cofactor), as_expr(fam.ratio)
+    log_derivative = sympy.diff(sympy.log(c) + n * sympy.log(r), x)
+    rec, cert = discover(fam, max_order=max_order)
+    big_r = sum(
+        (n**t * as_expr(part) for t, part in enumerate(cert.parts)), sympy.Integer(0)
+    )
+    lhs = sum(_sympy_expr(sympy, ck, n) * r**k for k, ck in enumerate(rec.coeffs))
+    residual = lhs - sympy.diff(big_r, x) - big_r * log_derivative
+    assert sympy.cancel(residual) == 0
+    assert sympy.cancel(residual + r**2) != 0  # a mutated left side fails
 
 
 def test_discover_builds_its_columns_once_per_family(monkeypatch):
