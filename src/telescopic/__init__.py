@@ -50,7 +50,7 @@ from .integration import (
     partial_fractions,
     rational_roots,
 )
-from .polynomials import Poly, poly_gcd, poly_lcm, squarefree_decomposition, sturm_root_count
+from .polynomials import Poly, poly_gcd, sturm_root_count
 from .prove import (
     ProofObject,
     propagate_recurrence,
@@ -110,7 +110,6 @@ __all__ = [
     "normalize_pair",
     "partial_fractions",
     "poly_gcd",
-    "poly_lcm",
     "proof_from_json",
     "proof_to_json",
     "propagate_recurrence",
@@ -120,7 +119,6 @@ __all__ = [
     "reverify_proof",
     "rows_to_csv",
     "solve_nullspace",
-    "squarefree_decomposition",
     "sturm_root_count",
     "target_constant",
     "verify_substitution_proof",

@@ -73,21 +73,6 @@ class IntegrandFamily:
         c, r = self.cofactor, self.ratio
         return RatFunc._reduced(r.num**n * c.num, c.den ** (n + 1))
 
-    def log_derivative(self, n: int) -> RatFunc:
-        """F'(n,x)/F(n,x) = c'/c + n * r'/r, exactly."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        return (
-            self.cofactor.derivative() / self.cofactor
-            + n * (self.ratio.derivative() / self.ratio)
-        )
-
-    def shifted_ratio(self, k: int) -> RatFunc:
-        """F(n+k,x)/F(n,x) = r(x)^k; k = 0 gives 1."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        return self.ratio**k
-
 
 def make_left_family(params: ParameterPair) -> IntegrandFamily:
     """The family of x^n (1-x)^n / ((x+a)(x+b))^{n+1}."""

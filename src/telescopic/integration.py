@@ -1,7 +1,12 @@
 """Exact integration of rational functions over [0, 1].
 
 The integrands treated here have denominators that split into linear
-factors with rational roots, all outside [0, 1].  Partial fractions
+factors with rational roots, all outside [0, 1].  The poles come from
+one pass: a single gcd gives the squarefree part of the denominator, its
+rational roots are found directly, and the Taylor shift of the
+denominator at each root shows that root's multiplicity.  A pole inside
+[0, 1] is read off those roots; only a denominator that does not split
+over Q is searched for real roots there.  Partial fractions then
 reduce the integral to rational contributions (polynomial part, poles of
 multiplicity >= 2) plus simple-pole terms c/(x - root) whose integrals
 are c * log of a positive rational.  Factoring those rationals into
@@ -33,7 +38,7 @@ from .polynomials import (
     _int_coeffs,
     _to_fraction,
     has_root_in_unit_interval,
-    squarefree_decomposition,
+    poly_gcd,
 )
 from .ratfuncs import RatFunc
 
@@ -258,6 +263,24 @@ def _one_rational_root(p: Poly) -> Fraction | None:
     return None
 
 
+def _rational_poles(den: Poly) -> tuple[list[tuple[Fraction, int, Poly]], Poly]:
+    """(root, multiplicity, den(y + root)) for each rational root of den,
+    sorted by root, and the monic factor of den's squarefree part that has
+    no rational root.
+
+    One gcd gives the squarefree part den / gcd(den, den'); a root's
+    multiplicity is the number of vanishing low coefficients of den(y + root).
+    """
+    squarefree = den.exact_div(poly_gcd(den, den.derivative())).monic()
+    roots, leftover = _squarefree_rational_roots(squarefree)
+    poles = []
+    for root in sorted(roots):
+        shifted = den.shift(root)
+        mult = next(i for i, c in enumerate(shifted.coeffs) if c != 0)
+        poles.append((root, mult, shifted))
+    return poles, leftover
+
+
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """Rational roots with multiplicities, sorted by root value.
 
@@ -266,25 +289,7 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     """
     if p.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
-    out: list[tuple[Fraction, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        roots, _ = _squarefree_rational_roots(factor)
-        out.extend((r, mult) for r in roots)
-    return sorted(out)
-
-
-def _linear_factorization(p: Poly) -> list[tuple[Fraction, int]]:
-    """(root, multiplicity) pairs with prod (x-root)^mult = p / lc(p);
-    raises NonRationalRootError naming any factor without rational roots."""
-    out: list[tuple[Fraction, int]] = []
-    for factor, mult in squarefree_decomposition(p):
-        roots, leftover = _squarefree_rational_roots(factor)
-        if leftover.degree() > 0:
-            raise NonRationalRootError(
-                f"denominator factor {leftover} has no rational root"
-            )
-        out.extend((r, mult) for r in roots)
-    return sorted(out)
+    return [(root, mult) for root, mult, _ in _rational_poles(p)[0]]
 
 
 # -- partial fractions ----------------------------------------------------------
@@ -323,10 +328,12 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
     poly_part, remainder = divmod(f.num, f.den)
     if remainder.is_zero():
         return PartialFractionForm(poly_part, ())
+    poles, leftover = _rational_poles(f.den)
+    if leftover.degree() > 0:
+        raise NonRationalRootError(f"denominator factor {leftover} has no rational root")
     pole_terms: list[PoleTerm] = []
-    for root, mult in _linear_factorization(f.den):
+    for root, mult, shifted_den in poles:
         numer = remainder.shift(root)  # A(y) = remainder(y + root)
-        shifted_den = f.den.shift(root)
         basis = Poly(shifted_den.coeffs[mult:])  # B(y) = den(y+root)/y^m
         b0 = basis[0]
         series: list[Fraction] = []
@@ -350,14 +357,25 @@ def integrate_01(f: RatFunc) -> LogCombination:
     Simple poles at rational r outside [0, 1] contribute
     coeff * log((1-r)/(-r)), a log of a positive rational, canonicalized
     through prime factorization; everything else contributes rationals.
+    A pole in [0, 1] raises DivergentIntegralError, ahead of the error of
+    a denominator that does not split over Q or whose roots exceed the
+    factor bound.
     """
     if f.is_zero():
         return LogCombination.zero()
-    if has_root_in_unit_interval(f.den):
+    try:
+        decomposition = partial_fractions(f)
+        # f is in lowest terms, so every root of f.den has a pole term
+        divergent = any(0 <= term.root <= 1 for term in decomposition.pole_terms)
+    except (NonRationalRootError, FactorBoundExceededError):
+        # a pole in [0, 1] is reported first, even one the root search missed
+        if not has_root_in_unit_interval(f.den):
+            raise
+        divergent = True
+    if divergent:
         raise DivergentIntegralError(
             f"integrand has a pole in [0, 1]: denominator {f.den}"
         )
-    decomposition = partial_fractions(f)
     constant = Fraction(0)
     for i, c in enumerate(decomposition.polynomial_part.coeffs):
         constant += c / (i + 1)

@@ -262,10 +262,6 @@ class Poly:
             den = den * c.denominator // math.gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def primitive(self) -> "Poly":
-        """Integer-coefficient form with content 1, keeping the sign."""
-        return Poly(_int_coeffs(self.coeffs))
-
     # -- display -----------------------------------------------------------
 
     def to_str(self, var: str = "x") -> str:
@@ -355,40 +351,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
             break
         a, b = b, _int_primitive(r)
     return Poly(b).monic()
-
-
-def poly_lcm(p: Poly, q: Poly) -> Poly:
-    if p.is_zero() or q.is_zero():
-        return Poly.zero()
-    return (p * q).exact_div(poly_gcd(p, q)).monic()
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: monic pairwise-coprime squarefree factors.
-
-    Returns [(g_1, 1), (g_2, 2), ...] with p = lc(p) * prod g_i^i,
-    omitting trivial (constant) factors.
-    """
-    if p.is_zero():
-        raise ValueError("squarefree decomposition of the zero polynomial")
-    p = p.monic()
-    if p.degree() == 0:
-        return []
-    out: list[tuple[Poly, int]] = []
-    g = poly_gcd(p, p.derivative())
-    w = p.exact_div(g)
-    y = p.derivative().exact_div(g)
-    i = 1
-    while w.degree() > 0:
-        z = y - w.derivative()
-        f = poly_gcd(w, z) if not z.is_zero() else w.monic()
-        if f.degree() > 0:
-            out.append((f, i))
-        w_next = w.exact_div(f)
-        y = z.exact_div(f) if not z.is_zero() else w_next.derivative()
-        w = w_next
-        i += 1
-    return out
 
 
 def sturm_root_count(p: Poly, lo: Scalar, hi: Scalar) -> int:

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 from .errors import AnsatzExhaustedError
 from .families import IntegrandFamily, ParameterPair
-from .polynomials import Poly, _int_coeffs, _int_primitive, poly_lcm
+from .polynomials import Poly, _int_coeffs, _int_primitive
 from .ratfuncs import RatFunc
 
 _X_TIMES_X_MINUS_1 = Poly([0, -1, 1])  # x(x-1), the forced certificate factor
@@ -264,29 +263,31 @@ def _ansatz_columns(
     """The divided identity's columns for the largest shape, built once.
 
     Unknowns are (c_0 .. c_rho, m_0 .. m_{d-2}) where the certificate is
-    R = x(x-1) (m_0 + m_1 x + ...) / Q with Q = den(c).  As F'/F is
-    c'/c + n * r'/r, every unknown multiplies a column A + n * B: c_k
-    has A = r^k and B = 0, and m_j has A = -(col' + col * c'/c) and
-    B = -col * r'/r with col = x(x-1) x^j / Q, all over one common
-    denominator, which leaves the kernel unchanged.  A shape (rho, d)
-    takes the first rho + 1 recurrence columns and d - 1 certificate ones.
+    R = (m_0 p_0 + m_1 p_1 + ...) / Q with p_j = x(x-1) x^j and Q = den(c),
+    monic.  As F'/F is c'/c + n * r'/r with c = 1/(l Q), r = x(1-x)/(l Q)
+    and l = lc(fam.den), every unknown multiplies a column A + n * B, here
+    in closed form over one common denominator Q^m, m = max(2, rho):
+    c_k has A = (x(1-x)/l)^k Q^(m-k) and B = 0, and m_j has
+    A = -(p_j' Q - 2 p_j Q') Q^(m-2) and B = (p_j Q' - x^j (2x-1) Q) Q^(m-2).
+    A common factor leaves the kernel unchanged; a per-column constant
+    would rescale the unknown, hence the 1/l^k.  A shape (rho, d) takes
+    the first rho + 1 recurrence columns and d - 1 certificate ones.
     """
-    c_logd = fam.cofactor.derivative() / fam.cofactor
-    r_logd = fam.ratio.derivative() / fam.ratio
-    rec = [fam.shifted_ratio(k) for k in range(max_order + 1)]
+    q = fam.cofactor.den
+    dq = q.derivative()
+    scale = 1 / fam.den.leading_coefficient()
+    r_num = Poly([0, scale, -scale])  # x(1-x)/l
+    m = max(2, max_order)
+    rec = [(r_num**k * q ** (m - k), Poly.zero()) for k in range(max_order + 1)]
+    q_rest = q ** (m - 2)
     cert = []
     for j in range(max_cert_degree - 1):
-        col = RatFunc(_X_TIMES_X_MINUS_1 * Poly.monomial(1, j), fam.cofactor.den)
-        cert.append((-(col.derivative() + col * c_logd), -(col * r_logd)))
-    common = reduce(poly_lcm, {f.den for f in rec + [f for ab in cert for f in ab]})
-
-    def over_common(f: RatFunc) -> Poly:
-        return f.num * common.exact_div(f.den)
-
-    return (
-        [(over_common(f), Poly.zero()) for f in rec],
-        [(over_common(a), over_common(b)) for a, b in cert],
-    )
+        x_j = Poly.monomial(1, j)
+        p = _X_TIMES_X_MINUS_1 * x_j
+        a = (2 * p * dq - p.derivative() * q) * q_rest
+        b = (p * dq - x_j * Poly([-1, 2]) * q) * q_rest  # Poly([-1, 2]) = 2x - 1
+        cert.append((a, b))
+    return rec, cert
 
 
 def _polynomial_kernel(pencil: _Pencil) -> list[Poly] | None:

@@ -60,23 +60,6 @@ def test_at_rejects_negative_n():
         fam.at(-1)
 
 
-def test_log_derivative_is_derivative_over_value():
-    rng = random.Random(301)
-    for _ in range(25):
-        fam = make_left_family(random_params(rng))
-        for n in range(4):
-            f = fam.at(n)
-            assert fam.log_derivative(n) == f.derivative() / f
-
-
-def test_shifted_ratio_is_integrand_quotient():
-    rng = random.Random(302)
-    for _ in range(25):
-        fam = make_right_family(random_params(rng))
-        for k in range(4):
-            assert fam.shifted_ratio(k) == fam.at(k + 2) / fam.at(2)
-
-
 def test_ratio_vanishes_at_endpoints_always():
     rng = random.Random(303)
     for _ in range(50):

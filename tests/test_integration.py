@@ -2,6 +2,8 @@
 log-combinations, partial fractions, and the integral itself."""
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +14,7 @@ from telescopic import (
     FactorBoundExceededError,
     LogCombination,
     NonRationalRootError,
+    ParameterPair,
     PartialFractionForm,
     Poly,
     PoleTerm,
@@ -179,6 +182,8 @@ def test_logcomb_to_float_requires_64_bits():
 def test_rational_roots_with_multiplicities():
     p = Poly.from_roots([Fraction(1, 2), Fraction(1, 2), -3])
     assert rational_roots(p) == [(-3, 1), (Fraction(1, 2), 2)]
+    p = Poly([3, 1]) ** 9 * Poly([-1, 2]) ** 2  # (x+3)^9 (2x-1)^2
+    assert rational_roots(p) == [(-3, 9), (Fraction(1, 2), 2)]
 
 
 def test_rational_roots_ignores_irrational_factors():
@@ -276,6 +281,43 @@ def test_integral_divergent_pole_inside():
         integrate_01(RatFunc(Poly.one(), Poly([0, 1])))  # pole at x=0
     with pytest.raises(DivergentIntegralError):
         integrate_01(RatFunc(Poly.one(), Poly([-1, 1])))  # pole at x=1
+
+
+def test_integral_pole_inside_is_reported_before_a_non_rational_factor():
+    x_squared_plus_2 = Poly([2, 0, 1])
+    with pytest.raises(DivergentIntegralError, match="pole in"):
+        # 1/((x - 1/2)(x^2 + 2)): rational pole inside, irrational factor
+        integrate_01(RatFunc(Poly.one(), Poly([Fraction(-1, 2), 1]) * x_squared_plus_2))
+    with pytest.raises(DivergentIntegralError, match="pole in"):
+        # 1/(x^2 - 1/2): the pole 1/sqrt(2) is irrational and inside
+        integrate_01(RatFunc(Poly.one(), Poly([Fraction(-1, 2), 0, 1])))
+    with pytest.raises(DivergentIntegralError, match="pole in"):
+        # (2x - 1)(x^2 + P): finding the roots exceeds the factor bound
+        big = 1000003 * 1000033
+        integrate_01(RatFunc(Poly.one(), Poly([-1, 2]) * Poly([big, 0, 1])))
+    with pytest.raises(NonRationalRootError, match="no rational root"):
+        # 1/((x + 2)(x^2 + 2)): no pole in [0, 1], one irrational factor
+        integrate_01(RatFunc(Poly.one(), Poly([2, 1]) * x_squared_plus_2))
+
+
+def test_integral_finds_the_poles_with_one_gcd_and_no_sturm_chain(monkeypatch):
+    f = make_left_family(ParameterPair(2, 1)).at(8)  # denominator of degree 18
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("telescopic")]:
+        for name in ("poly_gcd", "sturm_root_count"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    integrate_01(f)
+    assert calls["poly_gcd"] == 1
+    assert calls["sturm_root_count"] == 0
 
 
 def test_integral_additivity_randomized():

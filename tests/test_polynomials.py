@@ -1,5 +1,5 @@
-"""Exact polynomial arithmetic: ring laws, division, GCD, squarefree
-decomposition, and Sturm root counting."""
+"""Exact polynomial arithmetic: ring laws, division, GCD, and Sturm root
+counting."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_poly
-from telescopic import Poly, poly_gcd, poly_lcm, squarefree_decomposition, sturm_root_count
+from telescopic import Poly, poly_gcd, sturm_root_count
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -113,7 +113,6 @@ def test_compose_and_shift():
 def test_content_and_primitive():
     p = Poly([Fraction(2, 3), Fraction(4, 3)])
     assert p.content() == Fraction(2, 3)
-    assert p.primitive() == Poly([1, 2])
     assert Poly.zero().content() == 0
 
 
@@ -137,37 +136,6 @@ def test_gcd_edge_cases():
     assert poly_gcd(Poly([2]), Poly([0, 3])) == Poly.one()
     with pytest.raises(ValueError):
         poly_gcd(Poly.zero(), Poly.zero())
-
-
-def test_lcm_times_gcd_is_product():
-    rng = random.Random(107)
-    for _ in range(100):
-        a = random_poly(rng, max_degree=3, nonzero=True)
-        b = random_poly(rng, max_degree=3, nonzero=True)
-        g = poly_gcd(a, b)
-        m = poly_lcm(a, b)
-        assert m % a == Poly.zero() and m % b == Poly.zero()
-        assert (g * m).monic() == (a * b).monic()
-
-
-def test_squarefree_decomposition_reassembles():
-    rng = random.Random(108)
-    for _ in range(100):
-        base = [random_poly(rng, max_degree=1, nonzero=True) for _ in range(3)]
-        p = base[0] * base[1] ** 2 * base[2] ** 3
-        if p.degree() < 1:
-            continue
-        parts = squarefree_decomposition(p)
-        rebuilt = Poly.constant(p.leading_coefficient())
-        for factor, mult in parts:
-            assert factor.leading_coefficient() == 1
-            rebuilt = rebuilt * factor**mult
-        assert rebuilt == p
-        # factors are pairwise coprime and squarefree
-        for i, (f, _) in enumerate(parts):
-            assert poly_gcd(f, f.derivative()).degree() == 0
-            for g, _ in parts[i + 1:]:
-                assert poly_gcd(f, g).degree() == 0
 
 
 def test_sturm_count_known_roots():

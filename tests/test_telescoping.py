@@ -22,10 +22,10 @@ from telescopic import (
     make_left_family,
     make_right_family,
     normalize_pair,
+    poly_gcd,
     solve_nullspace,
     verify_telescoping,
 )
-from telescopic.polynomials import poly_lcm
 from telescopic.telescoping import _ansatz_columns, _polynomial_kernel
 
 
@@ -42,7 +42,8 @@ def _holds_at(fam, rec, cert, n):
     for k in range(rec.order + 1):
         lhs = lhs + rec.coefficient_at(k, n) * fam.ratio**k
     r = cert.at(n)
-    return lhs == r.derivative() + r * fam.log_derivative(n)
+    f = fam.at(n)
+    return lhs == r.derivative() + r * (f.derivative() / f)
 
 
 def _holds_by_sampling(fam, rec, cert):
@@ -321,9 +322,10 @@ def test_discover_beta_family_order_one():
 
 def _per_sample_columns(fam, n, max_order=2, max_cert_degree=4):
     """Reference: the ansatz columns rebuilt as rational functions at one n
-    from fam.log_derivative(n), with no sharing across samples."""
-    logd = fam.log_derivative(n)
-    rec = [fam.shifted_ratio(k) for k in range(max_order + 1)]
+    from F'/F at that n, with no sharing across samples."""
+    f = fam.at(n)
+    logd = f.derivative() / f
+    rec = [fam.ratio**k for k in range(max_order + 1)]
     cert = []
     for j in range(max_cert_degree - 1):
         x_x_minus_1_xj = Poly([0, -1, 1]) * Poly.monomial(1, j)
@@ -336,7 +338,9 @@ def _per_sample_matrix(per_sample_columns, rho, d):
     """Reference: one shape's columns over their own lcm denominator."""
     rec, cert = per_sample_columns
     cols = rec[: rho + 1] + cert[: d - 1]
-    common_den = reduce(poly_lcm, (c.den for c in cols))
+    common_den = reduce(
+        lambda p, q: (p * q).exact_div(poly_gcd(p, q)).monic(), (c.den for c in cols)
+    )
     polys = [c.num * common_den.exact_div(c.den) for c in cols]
     return [[p[e] for p in polys] for e in range(max(p.degree() for p in polys) + 1)]
 
