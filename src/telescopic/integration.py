@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 import mpmath
@@ -33,13 +34,7 @@ from .errors import (
     FactorBoundExceededError,
     NonRationalRootError,
 )
-from .polynomials import (
-    Poly,
-    _int_coeffs,
-    _to_fraction,
-    has_root_in_unit_interval,
-    poly_gcd,
-)
+from .polynomials import Poly, _to_fraction, has_root_in_unit_interval, poly_gcd
 from .ratfuncs import RatFunc
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -48,32 +43,59 @@ DEFAULT_FACTOR_BOUND = 10**6
 # -- integer and rational factorization --------------------------------------
 
 
+# base + step runs over the integers prime to 30 in [base, base + 30)
+_WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)
+
+
 def factorize(value: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division.
 
-    A leftover cofactor with no divisor <= bound is accepted as prime
-    only when it is smaller than bound**2 (which certifies primality);
-    otherwise the method's scope is exceeded and an explicit error is
-    raised rather than silently falling back.
+    Candidates are 2, 3, 5 and then the integers prime to 30, up to
+    bound.  A leftover cofactor with no divisor <= bound is accepted as
+    prime only when every candidate up to its square root was tried,
+    which certifies primality; otherwise the method's scope is exceeded
+    and an explicit error is raised rather than silently falling back.
     """
     if value <= 0:
         raise ValueError("factorize expects a positive integer")
     factors: dict[int, int] = {}
     n = value
-    d = 2
-    while d <= bound and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d = 3 if d == 2 else d + 2
+
+    def divide_out(p: int) -> None:
+        nonlocal n
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+
+    for p in (2, 3, 5):
+        if p > bound or p * p > n:
+            break
+        divide_out(p)
+    else:
+        base, limit = 7, min(bound, math.isqrt(n))
+        while base <= limit:
+            # one test per 30 integers: does any candidate of the block divide n?
+            if (n % base and n % (base + 4) and n % (base + 6) and n % (base + 10)
+                    and n % (base + 12) and n % (base + 16) and n % (base + 22)
+                    and n % (base + 24)):
+                base += 30
+                continue
+            for step in _WHEEL:
+                if base + step > limit:
+                    break
+                divide_out(base + step)
+                limit = min(bound, math.isqrt(n))
+            base += 30
     if n > 1:
-        if d * d > n or n < bound * bound:
-            factors[n] = factors.get(n, 0) + 1
-        else:
+        # every prime below past (the first odd number above bound, or 2)
+        # was tried or exceeds sqrt(n), so n < past^2 certifies n prime
+        past = 2 if bound < 2 else bound + 1 + bound % 2
+        if n >= past * past:
             raise FactorBoundExceededError(
                 f"factor bound exceeded: {value} has leftover cofactor {n} "
                 f"with no prime divisor <= {bound}"
             )
+        factors[n] = factors.get(n, 0) + 1
     return factors
 
 
@@ -251,9 +273,9 @@ def _squarefree_rational_roots(g: Poly) -> tuple[list[Fraction], Poly]:
 
 
 def _one_rational_root(p: Poly) -> Fraction | None:
-    if p[0] == 0:
+    ints = p._ints  # p is monic, so its stored integers are primitive
+    if ints[0] == 0:
         return Fraction(0)
-    ints = _int_coeffs(p.coeffs)
     for num in _divisors(abs(ints[0])):
         for den in _divisors(abs(ints[-1])):
             for sign in (1, -1):
@@ -276,7 +298,7 @@ def _rational_poles(den: Poly) -> tuple[list[tuple[Fraction, int, Poly]], Poly]:
     poles = []
     for root in sorted(roots):
         shifted = den.shift(root)
-        mult = next(i for i, c in enumerate(shifted.coeffs) if c != 0)
+        mult = next(i for i, c in enumerate(shifted._ints) if c)
         poles.append((root, mult, shifted))
     return poles, leftover
 
@@ -323,7 +345,12 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
 
     Principal parts are read off a truncated power series: with y = x-r
     and den = y^m * B(y), the series of num(y+r)/B(y) to order m-1 gives
-    the coefficients of 1/(x-r)^m, ..., 1/(x-r).
+    the coefficients of 1/(x-r)^m, ..., 1/(x-r).  The series runs in
+    integers: B(y) = B(0) * prod (1 - y/s)^k over s = rho - r for the
+    other roots rho, so with P the product of the numerators of those s,
+    B(Pz)/B(0) has integer coefficients and constant term 1, and so has
+    its reciprocal series.  The coefficient of y^t is then an integer over
+    B(0) * P^t, the size the exact coefficient needs.
     """
     poly_part, remainder = divmod(f.num, f.den)
     if remainder.is_zero():
@@ -331,20 +358,28 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
     poles, leftover = _rational_poles(f.den)
     if leftover.degree() > 0:
         raise NonRationalRootError(f"denominator factor {leftover} has no rational root")
+    roots = [root for root, _, _ in poles]
     pole_terms: list[PoleTerm] = []
     for root, mult, shifted_den in poles:
         numer = remainder.shift(root)  # A(y) = remainder(y + root)
-        basis = Poly(shifted_den.coeffs[mult:])  # B(y) = den(y+root)/y^m
+        basis = shifted_den._ints[mult:]  # B(y) = den(y+root)/y^m, over shifted_den._den
         b0 = basis[0]
-        series: list[Fraction] = []
+        p = math.prod(abs((other - root).numerator) for other in roots if other != root)
+        scaled_numer, scaled_basis, inverse = [], [1], [1]  # A(Pz), B(Pz)/B(0), 1/that
+        power = 1  # P^t
         for t in range(mult):
-            acc = numer[t]
-            for u, s_u in enumerate(series):
-                acc -= s_u * basis[t - u]
-            series.append(acc / b0)
-        for t, coeff in enumerate(series):
-            if coeff != 0:
+            scaled_numer.append(numer._ints[t] * power if t < len(numer._ints) else 0)
+            if t:
+                if t < len(basis):
+                    scaled_basis.append(basis[t] * power // b0)
+                inverse.append(-sum(map(mul, scaled_basis[1:], reversed(inverse))))
+            # the y^t coefficient is (den_B / den_A) * w / (b0 * P^t) with
+            # w the z^t coefficient of A(Pz) / (B(Pz)/B(0))
+            w = sum(map(mul, scaled_numer, reversed(inverse)))
+            if w:
+                coeff = Fraction(w * shifted_den._den, numer._den * b0 * power)
                 pole_terms.append(PoleTerm(root, mult - t, coeff))
+            power *= p
     return PartialFractionForm(poly_part, tuple(pole_terms))
 
 
@@ -379,13 +414,12 @@ def integrate_01(f: RatFunc) -> LogCombination:
     constant = Fraction(0)
     for i, c in enumerate(decomposition.polynomial_part.coeffs):
         constant += c / (i + 1)
-    total = LogCombination(constant, ())
+    logs = LogCombination.zero()
     for root, mult, coeff in decomposition.pole_terms:
         if mult == 1:
             ratio = (1 - root) / (-root)
-            total = total + coeff * log_of_rational(ratio)
+            logs = logs + coeff * log_of_rational(ratio)
         else:
             e = 1 - mult
-            jump = ((1 - root) ** e - (-root) ** e) / e
-            total = total + LogCombination(coeff * jump, ())
-    return total
+            constant += coeff * ((1 - root) ** e - (-root) ** e) / e
+    return LogCombination(constant, ()) + logs

@@ -1,15 +1,25 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials over exact rationals, stored as integers.
 
-A polynomial a_0 + a_1 x + ... + a_n x^n is stored as the coefficient
-tuple (a_0, a_1, ..., a_n) of ``fractions.Fraction`` values, ascending in
-degree.  The leading coefficient is nonzero; the zero polynomial is the
-empty tuple.  Values are immutable and hashable, so they are safe to
-share between threads.
+A polynomial a_0 + a_1 x + ... + a_n x^n is stored as a tuple of Python
+ints (c_0, c_1, ..., c_n), ascending in degree, over one positive int
+denominator d, with a_i = c_i / d.  The form is canonical: c_n != 0 (the
+zero polynomial is the empty tuple over d = 1), and the gcd of the c_i
+is coprime to d, which makes d the lcm of the reduced denominators of
+the a_i.  So equality and hashing compare (c, d) structurally.  The
+``coeffs`` property builds the Fraction coefficients on access, for
+display and encoding; no arithmetic goes through it.  Values are
+immutable and hashable, so they are safe to share between threads.
 
-The usual ring operators are overloaded, together with divmod (exact
-Euclidean division), evaluation via call syntax, differentiation,
-Taylor shift, and a monic GCD computed by a primitive pseudo-remainder
-sequence over the integers to keep intermediate coefficients small.
+Every operation works on the integers.  Sums bring both operands over
+the lcm of the denominators; products and powers are integer
+convolutions; division is integer pseudo-division, each step scaled by
+lead / gcd(top, lead) rather than by the whole lead; evaluation at u/v
+is a Horner scheme on sum c_i u^i v^(n-i), with one Fraction at the
+end.  The Taylor shift by u/v uses  v^n f(x + u/v) = g(vx + u)  for the
+integer polynomial  g(y) = sum c_i v^(n-i) y^i  (von zur Gathen and
+Gerhard, 1997): g is shifted by the integer u with Horner steps, and
+coefficient i is scaled by v^i over the denominator d v^n.  The monic
+GCD is a primitive pseudo-remainder sequence on the stored integers.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from operator import mul
+from typing import Iterable, Iterator, Union
 
 Scalar = Union[Fraction, int]
 
@@ -30,29 +41,79 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two nonzero integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        factor = b[0]
+        return [c * factor for c in a]
+    la, lb = len(a), len(b)
+    rb = b[::-1]
+    out = []
+    for k in range(la + lb - 1):
+        lo, hi = max(0, k - lb + 1), min(k + 1, la)
+        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo : lb - 1 - k + hi])))
+    return out
+
+
 class Poly:
-    """Dense univariate polynomial over Fraction, canonical form."""
+    """Dense univariate polynomial over Q: integers over one denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints", "_den")
 
-    coeffs: tuple[Fraction, ...]
+    _ints: tuple[int, ...]
+    _den: int
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [_to_fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        values = [_to_fraction(c) for c in coefficients]
+        while values and values[-1] == 0:
+            values.pop()
+        # over the lcm of the reduced denominators, the integers' gcd is coprime to it
+        den = math.lcm(*(c.denominator for c in values))
+        ints = tuple(c.numerator * (den // c.denominator) for c in values)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _of(cls, ints: tuple[int, ...], den: int) -> "Poly":
+        """ints / den for a pair already in canonical form."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "_ints", ints)
+        object.__setattr__(p, "_den", den)
+        return p
+
+    @classmethod
+    def _reduce(cls, ints: list[int], den: int) -> "Poly":
+        """ints / den for any nonzero den, brought to canonical form."""
+        while ints and not ints[-1]:
+            ints.pop()
+        if not ints:
+            return _ZERO
+        if den < 0:
+            ints, den = [-c for c in ints], -den
+        if den > 1:
+            g = math.gcd(den, *ints)  # den first: gcd skips the rest once it is 1
+            if g > 1:
+                ints, den = [c // g for c in ints], den // g
+        return cls._of(tuple(ints), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending in degree; built on access."""
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._ints)
+
     @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _ZERO
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
@@ -79,40 +140,40 @@ class Poly:
     # -- basic queries ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints) - 1
 
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self._ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._ints[-1], self._den)
 
     def __getitem__(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
+        if 0 <= exponent < len(self._ints):
+            return Fraction(self._ints[exponent], self._den)
         return Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self._ints)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._ints == other._ints and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == Poly.constant(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self._ints, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._ints)
 
     # -- ring arithmetic -------------------------------------------------
 
@@ -128,15 +189,19 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return Poly(
-            x + y for x, y in itertools.zip_longest(a, b, fillvalue=Fraction(0))
-        )
+        a, da, b, db = self._ints, self._den, other._ints, other._den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da = da // g * db
+        total = [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        return Poly._reduce(total, da)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly._of(tuple(-c for c in self._ints), self._den)
 
     def __sub__(self, other) -> "Poly":
         other = Poly._coerce(other)
@@ -154,31 +219,31 @@ class Poly:
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self._ints, self._den, other._ints, other._den
         if not a or not b:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Poly(out)
+            return _ZERO
+        # each operand's gcd is coprime to its own denominator, so the
+        # product's common factor is gcd(a, db) * gcd(b, da): cancel it first
+        if db > 1 and (g := math.gcd(db, *a)) > 1:
+            a, db = [c // g for c in a], db // g
+        if da > 1 and (g := math.gcd(da, *b)) > 1:
+            b, da = [c // g for c in b], da // g
+        return Poly._of(tuple(_convolve(a, b)), da * db)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Poly":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one()
+        result = None
         base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else result * base
+            exponent >>= 1
+            if exponent:  # square only while bits remain
+                base = base * base
+        return Poly.one() if result is None else result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = Poly._coerce(other)
@@ -186,22 +251,34 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 1)
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.leading_coefficient()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            shift = len(rem) - 1 - d
-            factor = rem[-1] / lead
-            q[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return Poly(q), Poly(rem)
+        b = other._ints
+        d = len(b) - 1
+        steps = len(self._ints) - d
+        if steps <= 0:
+            return _ZERO, self
+        # pseudo-division over the integers, M * a = quot * b + rem: each step
+        # scales the remainder, and the quotient found so far, by m = lead / g
+        # with g = gcd(top, lead), so M stays as small as the tops allow
+        lead = b[-1]
+        rem = list(self._ints)
+        tops, mults = [], []
+        for k in range(steps - 1, -1, -1):
+            top = rem.pop()
+            g = math.gcd(top, lead)
+            m, top = lead // g, top // g
+            if m != 1:
+                rem = [c * m for c in rem]
+            if top:
+                for j in range(d):
+                    rem[k + j] -= top * b[j]
+            tops.append(top)
+            mults.append(m)
+        quot, scale = [], 1
+        for top, m in zip(reversed(tops), reversed(mults)):  # x^k was scaled by later steps
+            quot.append(top * scale * other._den)
+            scale *= m
+        den = scale * self._den
+        return Poly._reduce(quot, den), Poly._reduce(rem, den)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -219,33 +296,54 @@ class Poly:
     # -- calculus and evaluation -----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return Poly._reduce([i * c for i, c in enumerate(self._ints) if i], self._den)
 
     def __call__(self, point: Scalar) -> Fraction:
-        point = _to_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        if isinstance(point, int):
+            u, v = point, 1
+        else:
+            point = _to_fraction(point)
+            u, v = point.numerator, point.denominator
+        ints = self._ints
+        if not ints:
+            return Fraction(0)
+        acc, scale = ints[-1], 1  # scale is v^(n - i) at coefficient i
+        for c in reversed(ints[:-1]):
+            scale *= v
+            acc = acc * u + c * scale
+        return Fraction(acc, self._den * scale)
 
     def shift(self, offset: Scalar) -> "Poly":
-        """Taylor shift t -> self(t + offset), by repeated synthetic division."""
+        """Taylor shift t -> self(t + offset), in integers (module docstring)."""
         offset = _to_fraction(offset)
-        c = list(self.coeffs)
-        for i in range(len(c) - 1):
-            for j in range(len(c) - 2, i - 1, -1):
-                c[j] += offset * c[j + 1]
-        return Poly(c)
+        u, v = offset.numerator, offset.denominator
+        n = len(self._ints) - 1
+        if u == 0 or n < 1:
+            return self
+        g = list(self._ints)
+        scale = 1
+        for i in range(n - 1, -1, -1):
+            scale *= v
+            g[i] *= scale
+        for i in range(n):  # after pass i, g[i] is final
+            acc = g[n]
+            for j in range(n - 1, i - 1, -1):
+                acc = g[j] = g[j] + u * acc
+        scale = 1
+        for i in range(1, n + 1):
+            scale *= v
+            g[i] *= scale
+        return Poly._reduce(g, self._den * scale)
 
     # -- normal forms ------------------------------------------------------
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("zero polynomial cannot be made monic")
-        lead = self.leading_coefficient()
-        if lead == 1:
+        lead = self._ints[-1]
+        if lead == self._den:
             return self
-        return Poly(c / lead for c in self.coeffs)
+        return Poly._reduce(list(self._ints), lead)
 
     def content(self) -> Fraction:
         """Rational content: gcd of numerators over lcm of denominators.
@@ -253,23 +351,17 @@ class Poly:
         content(0) = 0; for p != 0, p / content(p) has coprime integer
         coefficients.
         """
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(math.gcd(*self._ints), self._den)
 
     # -- display -----------------------------------------------------------
 
     def to_str(self, var: str = "x") -> str:
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs
         parts = []
         for e in range(self.degree(), -1, -1):
-            c = self.coeffs[e]
+            c = coeffs[e]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -293,15 +385,11 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+_ZERO = Poly._of((), 1)
+_ONE = Poly._of((1,), 1)
+
+
 # -- gcd machinery ---------------------------------------------------------
-
-
-def _int_coeffs(coeffs: Sequence[Scalar]) -> list[int]:
-    """The primitive integer vector proportional to coeffs, signs kept."""
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return _int_primitive([int(c * scale) for c in coeffs])
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -332,7 +420,7 @@ def _int_primitive(a: list[int]) -> list[int]:
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Monic greatest common divisor via a primitive pseudo-remainder
-    sequence on integer coefficients (controls coefficient growth).
+    sequence on the stored integers (controls coefficient growth).
 
     gcd(p, 0) = monic(p); gcd(0, 0) is an error.
     """
@@ -342,7 +430,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    a, b = _int_coeffs(p.coeffs), _int_coeffs(q.coeffs)
+    a, b = _int_primitive(list(p._ints)), _int_primitive(list(q._ints))
     if len(a) < len(b):
         a, b = b, a
     while True:
@@ -350,7 +438,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         if not r:
             break
         a, b = b, _int_primitive(r)
-    return Poly(b).monic()
+    return Poly._reduce(b, b[-1])
 
 
 def sturm_root_count(p: Poly, lo: Scalar, hi: Scalar) -> int:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PoleError, ToleranceNotMetError
-from .polynomials import _int_coeffs, has_root_in_unit_interval
+from .polynomials import has_root_in_unit_interval
 from .ratfuncs import RatFunc
 
 
@@ -82,19 +82,20 @@ def quad_01(
     if has_root_in_unit_interval(f.den):
         raise PoleError(f"integrand has a pole in [0, 1]: denominator {f.den}")
 
-    # f = (scale.numerator * num) / (scale.denominator * den) with num and
-    # den primitive integer polynomials, padded with zeros to one length so
-    # that both are valued as homogeneous forms of the same degree
-    num, den = _int_coeffs(f.num.coeffs), _int_coeffs(f.den.coeffs)
+    # f = (den_scale * num) / (num_scale * den) for the stored integers num
+    # and den over their denominators num_scale and den_scale, padded with
+    # zeros to one length so that both are valued as homogeneous forms of
+    # the same degree
+    num, den = list(f.num._ints), list(f.den._ints)
     length = max(len(num), len(den))
     num, den = num + [0] * (length - len(num)), den + [0] * (length - len(den))
-    scale = f.num.content() / f.den.content()
+    num_scale, den_scale = f.num._den, f.den._den
 
     def evaluate(t: float) -> float:
         m, two_k = t.as_integer_ratio()
         k = two_k.bit_length() - 1
-        return (scale.numerator * _dyadic_value(num, m, k)) / (
-            scale.denominator * _dyadic_value(den, m, k)
+        return (den_scale * _dyadic_value(num, m, k)) / (
+            num_scale * _dyadic_value(den, m, k)
         )
 
     def rule(mid: float, half: float, nodes: list[float], weights: list[float]) -> float:

@@ -37,8 +37,7 @@ class RatFunc:
                 num, den = num.exact_div(g), den.exact_div(g)
             lead = den.leading_coefficient()
             if lead != 1:
-                num = Poly(c / lead for c in num.coeffs)
-                den = den.monic()
+                num, den = num * (1 / lead), den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -28,13 +28,14 @@ satisfies it by construction and is not verified again here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import AnsatzExhaustedError
 from .families import IntegrandFamily, ParameterPair
-from .polynomials import Poly, _int_coeffs, _int_primitive
+from .polynomials import Poly, _int_primitive
 from .ratfuncs import RatFunc
 
 _X_TIMES_X_MINUS_1 = Poly([0, -1, 1])  # x(x-1), the forced certificate factor
@@ -196,6 +197,12 @@ def closed_form_certificates(params: ParameterPair) -> tuple[Certificate, Certif
 
 
 # -- exact nullspace ----------------------------------------------------------
+
+
+def _int_coeffs(row: Sequence[Fraction]) -> list[int]:
+    """The primitive integer vector proportional to row, signs kept."""
+    scale = math.lcm(*(c.denominator for c in row))
+    return _int_primitive([c.numerator * (scale // c.denominator) for c in row])
 
 
 def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:

@@ -63,6 +63,34 @@ def test_factorize_bound_exceeded_is_loud():
         factorize(10007 * 10009, bound=100)
 
 
+def _odd_step_factorize(value, bound):
+    # reference: every odd candidate in turn, while d <= bound and d^2 <= n
+    factors, n, d = {}, value, 2
+    while d <= bound and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d = 3 if d == 2 else d + 2
+    if n > 1:
+        if not (d * d > n or n < bound * bound):
+            return "exceeded"
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_factorize_matches_odd_step_trial_division():
+    rng = random.Random(13)
+    values = list(range(1, 2500)) + [rng.randint(1, 10**9) for _ in range(300)]
+    values += [1000003 * 999983, 7**5 * 1000003, 2 * 150503 * 1534499]
+    for bound in (1, 2, 3, 4, 5, 7, 10, 31, 36, 37, 1000, 10**6):
+        for value in values:
+            try:
+                got = factorize(value, bound)
+            except FactorBoundExceededError:
+                got = "exceeded"
+            assert got == _odd_step_factorize(value, bound), (value, bound)
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
@@ -376,3 +404,62 @@ def test_integral_matches_quadrature():
             f = fam.at(n)
             exact = float(logcomb_to_float(integrate_01(f), 64))
             assert abs(exact - quad_01(f, 1e-12).value) < 1e-10
+
+
+def test_integral_and_partial_fractions_agree_with_sympy():
+    # roots -23/7 and -11/13, so every Taylor shift is by a rational offset
+    # and runs through the scaled integer path.  sympy's apart and ratint
+    # take more than a minute at n = 40, so they are compared at n = 8;
+    # at n = 40 sympy checks the decomposition by exact polynomial
+    # arithmetic and mpmath's quadrature at 80 digits checks the value.
+    sympy = pytest.importorskip("sympy")
+    from sympy.integrals.rationaltools import ratint
+
+    x = sympy.Symbol("x")
+
+    def q(value):
+        return sympy.Rational(value.numerator, value.denominator)
+
+    a, b = Fraction(23, 7), Fraction(11, 13)
+    family = make_left_family(ParameterPair(a, b))
+
+    n = 8
+    f = family.at(n)
+    expr = x**n * (1 - x) ** n / ((x + q(a)) * (x + q(b))) ** (n + 1)
+    expected = set()
+    for term in sympy.Add.make_args(sympy.apart(expr, x)):
+        num, den = term.as_numer_denom()
+        scale, [(base, power)] = sympy.factor_list(den, x)
+        linear = sympy.Poly(base, x)
+        lead = linear.LC()
+        expected.add((-linear.TC() / lead, power, num / (scale * lead**power)))
+    form = partial_fractions(f)
+    assert form.polynomial_part.is_zero()
+    assert {(q(t.root), t.multiplicity, q(t.coefficient)) for t in form.pole_terms} == expected
+    antiderivative = ratint(expr, x)
+    value = integrate_01(f)
+    ours = q(value.constant) + sum(q(c) * sympy.log(p) for p, c in value.terms)
+    reference = antiderivative.subs(x, 1) - antiderivative.subs(x, 0)
+    assert sympy.expand_log(reference - ours, force=True, factor=True) == 0
+
+    n = 40
+    f = family.at(n)
+    form = partial_fractions(f)
+    assert form.polynomial_part.is_zero()
+
+    def to_sympy(p):
+        return sympy.Poly([q(c) for c in reversed(p.coeffs)], x, domain="QQ")
+
+    den = to_sympy(f.den)
+    total = sympy.Poly(0, x, domain="QQ")
+    for term in form.pole_terms:
+        linear = sympy.Poly([1, -q(term.root)], x, domain="QQ")
+        total += den.exquo(linear**term.multiplicity) * q(term.coefficient)
+    assert total == to_sympy(f.num)
+    with mpmath.workdps(80):
+        shift_a, shift_b = mpmath.mpf(q(a)), mpmath.mpf(q(b))
+        numeric = mpmath.quad(
+            lambda t: (t * (1 - t)) ** n / ((t + shift_a) * (t + shift_b)) ** (n + 1), [0, 1]
+        )
+        exact = logcomb_to_float(integrate_01(f), 300)
+        assert abs(numeric - exact) < mpmath.mpf(10) ** -60 * abs(exact)

@@ -43,6 +43,40 @@ def test_evaluation_horner():
     assert p(0) == 1
 
 
+def _fraction_horner(p, point):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def test_evaluation_matches_fraction_horner():
+    rng = random.Random(110)
+    points = [0, -1, 3, -7, Fraction(1, 2), Fraction(-5, 3), Fraction(22, 7), Fraction(-1, 1000)]
+    for _ in range(100):
+        p = random_poly(rng, max_degree=7) * Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        for point in points:
+            value = p(point)
+            assert isinstance(value, Fraction)
+            assert value == _fraction_horner(p, Fraction(point))
+    assert Poly.zero()(Fraction(3, 5)) == 0
+
+
+def test_stored_integers_are_canonical():
+    p = Poly([Fraction(1, 2), Fraction(1, 3)])
+    q = Poly([3, 2]) * Fraction(1, 6)
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    assert p.coeffs == q.coeffs == (Fraction(1, 2), Fraction(1, 3))
+    # integers over the lcm of the reduced denominators: 1/2 = 3/6, 1/3 = 2/6
+    assert (p._ints, p._den) == ((3, 2), 6)
+    # 5/2 and 5/3 over 6: the integers share 5, which is coprime to 6
+    r = Poly([Fraction(5, 2), Fraction(5, 3)])
+    assert (r._ints, r._den) == ((15, 10), 6)
+    assert Poly([Fraction(1, 2)]) + Poly([Fraction(1, 2)]) == Poly.one()
+    assert (Poly.one()._ints, Poly.one()._den) == ((1,), 1)
+    assert (Poly.zero()._ints, Poly.zero()._den) == ((), 1)
+
+
 def test_ring_laws_randomized():
     rng = random.Random(101)
     for _ in range(300):
@@ -81,6 +115,23 @@ def test_exact_div_on_true_factors():
         (p + Poly.one()).exact_div(Poly([1, 2]))
 
 
+def test_power_squares_only_while_bits_remain(monkeypatch):
+    products = []
+    original = Poly.__mul__
+
+    def counting(self, other):
+        products.append(self.degree() + other.degree())
+        return original(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    q = Poly([1, 3, 2])
+    power = q**31  # 31 = 0b11111: four squarings and four products into the result
+    monkeypatch.undo()
+    assert len(products) == 8
+    assert max(products) == 62 == power.degree()
+    assert power == Poly([1, 1]) ** 31 * Poly([1, 2]) ** 31
+
+
 def test_power_by_squaring():
     p = Poly([1, 1])
     assert p**0 == Poly.one()
@@ -102,12 +153,14 @@ def test_derivative_product_rule_randomized():
 def test_compose_and_shift():
     p = Poly([0, 0, 1])  # x^2
     assert p.shift(Fraction(1)) == Poly([1, 2, 1])  # p(x+1)
+    assert p.shift(Fraction(-1, 2)) == Poly([Fraction(1, 4), -1, 1])  # (x - 1/2)^2
     rng = random.Random(105)
     for _ in range(100):
         q = random_poly(rng)
-        t = Fraction(rng.randint(-5, 5))
+        t = Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
         x0 = Fraction(rng.randint(-5, 5))
         assert q.shift(t)(x0) == q(x0 + t)
+        assert q.shift(t).shift(-t) == q
 
 
 def test_content_and_primitive():

@@ -1,0 +1,104 @@
+"""Property tests of Poly and RatFunc, with sympy as the oracle for the
+Taylor shift and the gcd.  Both libraries are test-only; the module is
+skipped where either is missing."""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from telescopic import Poly, RatFunc, poly_gcd  # noqa: E402
+
+# derandomized and without an example database, so every run checks the
+# same examples and writes nothing to disk
+exact = settings(derandomize=True, database=None, deadline=None)
+
+X = sympy.Symbol("x")
+
+rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 40))
+polys = st.lists(rationals, max_size=7).map(Poly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+ratfuncs = st.builds(RatFunc, st.lists(rationals, max_size=4).map(Poly),
+                     st.lists(rationals, min_size=1, max_size=4).map(Poly).filter(bool))
+
+
+def to_sympy(p: Poly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)],
+                      X, domain="QQ")
+
+
+def from_sympy(p) -> Poly:
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+@exact
+@given(polys, polys, polys)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + Poly.zero() == p and p * Poly.one() == p
+    assert p - p == Poly.zero()
+    assert (p * q).degree() == (-1 if p.is_zero() or q.is_zero() else p.degree() + q.degree())
+
+
+@exact
+@given(polys, nonzero_polys)
+def test_divmod_invariant(p, d):
+    q, r = divmod(p, d)
+    assert q * d + r == p
+    assert r.degree() < d.degree()
+
+
+@exact
+@given(polys, rationals)
+def test_shift_round_trip_and_sympy(p, offset):
+    shifted = p.shift(offset)
+    assert shifted.shift(-offset) == p
+    moved = X + sympy.Rational(offset.numerator, offset.denominator)
+    reference = sympy.expand(to_sympy(p).as_expr().subs(X, moved))
+    assert shifted == from_sympy(sympy.Poly(reference, X, domain="QQ"))
+
+
+@exact
+@given(polys, polys, polys)
+def test_gcd_matches_sympy(g, p, q):
+    a, b = g * p, g * q
+    assume(not (a.is_zero() and b.is_zero()))
+    assert poly_gcd(a, b) == from_sympy(to_sympy(a).gcd(to_sympy(b)).monic())
+
+
+@exact
+@given(st.lists(rationals, max_size=7))
+def test_one_value_built_two_ways_is_one_value(coefficients):
+    direct = Poly(coefficients)
+    scale = math.lcm(*(c.denominator for c in coefficients))
+    via_integers = Poly([c * scale for c in coefficients]) * Fraction(1, scale)
+    assert direct == via_integers
+    while coefficients and coefficients[-1] == 0:
+        coefficients.pop()
+    assert direct.coeffs == via_integers.coeffs == tuple(coefficients)
+    assert hash(direct) == hash(via_integers)
+    assert str(direct) == str(via_integers)
+
+
+@exact
+@given(ratfuncs, ratfuncs, ratfuncs)
+def test_ratfunc_field_laws_and_canonical_form(f, g, h):
+    assert f + g == g + f
+    assert f * (g + h) == f * g + f * h
+    assert (f - g) + g == f
+    if not g.is_zero():
+        assert (f / g) * g == f
+    for value in (f, f + g, f * g):
+        assert value.den.leading_coefficient() == 1
+        assert poly_gcd(value.num, value.den) == Poly.one() or value.num.is_zero()
+        assert RatFunc(value.num * 3, value.den * 3) == value

@@ -1,6 +1,7 @@
 """JSON encodings: stable key order, exact round-trips, byte-stable output."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -162,3 +163,26 @@ def test_failed_proof_round_trip():
     assert restored == failed
     assert restored.failure_reason == failed.failure_reason
     assert not reverify_proof(restored)
+
+
+# the first pair of height above 50 that the benchmark draws at seed 2024
+HIGH_HEIGHT_PAIR = (Fraction(742946, 747377), Fraction(351799, 985716))
+
+
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+@pytest.mark.parametrize(
+    "a, b, digest",
+    [
+        (2, 1, "040c24d63801a7a40b493ea7ec233010b08121d868c3a5e496c7bd5cb2764643"),
+        (Fraction(7, 2), Fraction(1, 3),
+         "ee0f3d85863abc6c5920c374d6b48e97f45c1f55129cdbb0e888d530416a233c"),
+        (3, 2, "9a842cb108683bf0e87906dfe7959ce44b476e795e3c6d24b3d5855271f953b4"),
+        (*HIGH_HEIGHT_PAIR,
+         "7ed6450a55d7961b4254a561b7e58da6f8118be0bd4dcf606be884aa5490552c"),
+    ],
+)
+def test_proof_json_golden_digests(a, b, digest, mode):
+    # digests of the proof text written by the Fraction-coefficient Poly;
+    # the recorded values do not depend on how coefficients are stored
+    text = proof_to_json(prove_identity(ParameterPair(a, b), mode=mode, extra_n=3))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
