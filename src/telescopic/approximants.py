@@ -11,7 +11,8 @@ Lambda, and (a-b) * Lambda = log(1 + (a-b)/((a+1)b)).
 The recurrence is linear, so it carries the pairs (p_n, q_n) exactly:
 (p_0, q_0) = (1, 0), (p_1, q_1) comes from decomposing R(1), and every
 later pair is the same combination of the two before it as R(n) is of
-R(n-1) and R(n-2).  The recurrence is numerically unstable in the
+R(n-1) and R(n-2).  `propagate_recurrence` runs it on the p and the q
+coordinates.  The recurrence is numerically unstable in the
 decaying direction, so a floating iteration would be useless; floats
 appear only in the reported columns.  There Lambda is evaluated once,
 at a working precision sized from the table's largest cancellation
@@ -29,6 +30,7 @@ import mpmath
 from .errors import SpanError, TelescopicError
 from .families import ParameterPair, make_right_family
 from .integration import LogCombination, integrate_01, log_of_rational, logcomb_to_float
+from .prove import propagate_recurrence
 from .serialize import rational_to_str
 from .telescoping import closed_form_recurrence
 
@@ -78,22 +80,6 @@ def decompose_against(value: LogCombination, lam: LogCombination) -> tuple[Fract
             raise SpanError("value is not a rational multiple of the reference logs")
     q = p * lam.constant - value.constant
     return p, q
-
-
-def _propagate_pairs(
-    params: ParameterPair, first: tuple[Fraction, Fraction], n_max: int
-) -> list[tuple[Fraction, Fraction]]:
-    """(p_n, q_n) for n = 0..n_max from (p_0, q_0) = (1, 0) and `first`
-    = (p_1, q_1), by the closed-form recurrence on each coordinate."""
-    rec = closed_form_recurrence(params)
-    pairs = [(Fraction(1), Fraction(0)), first]
-    for n in range(n_max - 1):
-        lead = rec.coefficient_at(2, n)
-        w0 = -rec.coefficient_at(0, n) / lead
-        w1 = -rec.coefficient_at(1, n) / lead
-        (p0, q0), (p1, q1) = pairs[n], pairs[n + 1]
-        pairs.append((w0 * p0 + w1 * p1, w0 * q0 + w1 * q1))
-    return pairs[: n_max + 1]
 
 
 def _linear_forms(
@@ -149,8 +135,11 @@ def approximant_table(
         raise ValueError("precision_bits must be >= 64")
     right = make_right_family(params)
     lam = integrate_01(right.at(0))
-    first = decompose_against(integrate_01(right.at(1)), lam)
-    pairs = _propagate_pairs(params, first, n_max)
+    p1, q1 = decompose_against(integrate_01(right.at(1)), lam)
+    rec = closed_form_recurrence(params)
+    ps = propagate_recurrence(rec, [Fraction(1), p1], n_max)
+    qs = propagate_recurrence(rec, [Fraction(0), q1], n_max)
+    pairs = list(zip(ps, qs))
     for n, (p, _) in enumerate(pairs):
         if p == 0:
             raise SpanError(f"approximant with p=0 at n={n}")

@@ -130,7 +130,7 @@ def cmd_prove(params: ParameterPair, args: argparse.Namespace) -> int:
         print(f"direct left/right comparisons: n = 0..{checks[-1][0]}, {status}")
     # the substitution check runs only once every direct comparison holds
     if checks and checks[-1][0] == args.n_max and not unequal:
-        print(f"substitution check (all n): {'pass' if proof.substitution_check else 'FAIL'}")
+        print(f"substitution check (all n): {'pass' if proof.proved else 'FAIL'}")
     if proof.proved:
         print("verdict: proved")
     else:

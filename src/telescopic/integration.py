@@ -167,9 +167,18 @@ class LogCombination:
         if self.constant != 0 or not self.terms:
             pieces.append(str(self.constant))
         for p, c in self.terms:
-            pieces.append(f"{'+ ' if c >= 0 else '- '}{abs(c)}*log({p})")
-        text = " ".join(pieces)
-        return text.lstrip("+ ") if text.startswith("+ ") else text
+            if not pieces:
+                pieces.append(f"{c}*log({p})")
+            else:
+                pieces.append(f"{'+ ' if c >= 0 else '- '}{abs(c)}*log({p})")
+        return " ".join(pieces)
+
+
+def _log_terms(value: Fraction) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs with log(value) = sum of exponent * log(prime)."""
+    return list(factorize(value.numerator).items()) + [
+        (p, -e) for p, e in factorize(value.denominator).items()
+    ]
 
 
 def log_of_rational(value: Fraction) -> LogCombination:
@@ -177,12 +186,7 @@ def log_of_rational(value: Fraction) -> LogCombination:
     value = _to_fraction(value)
     if value <= 0:
         raise ValueError("log_of_rational requires a positive argument")
-    terms: dict[int, Fraction] = {}
-    for p, e in factorize(value.numerator).items():
-        terms[p] = terms.get(p, Fraction(0)) + e
-    for p, e in factorize(value.denominator).items():
-        terms[p] = terms.get(p, Fraction(0)) - e
-    return LogCombination(0, terms)
+    return LogCombination(0, _log_terms(value))
 
 
 def logcomb_to_float(value: LogCombination, precision_bits: int) -> mpmath.mpf:
@@ -414,12 +418,12 @@ def integrate_01(f: RatFunc) -> LogCombination:
     constant = Fraction(0)
     for i, c in enumerate(decomposition.polynomial_part.coeffs):
         constant += c / (i + 1)
-    logs = LogCombination.zero()
+    terms: list[tuple[int, Fraction]] = []
     for root, mult, coeff in decomposition.pole_terms:
         if mult == 1:
             ratio = (1 - root) / (-root)
-            logs = logs + coeff * log_of_rational(ratio)
+            terms.extend((p, coeff * e) for p, e in _log_terms(ratio))
         else:
             e = 1 - mult
             constant += coeff * ((1 - root) ** e - (-root) ** e) / e
-    return LogCombination(constant, ()) + logs
+    return LogCombination(constant, terms)

@@ -28,12 +28,14 @@ left/right integration at extra n values, as defense in depth.  Every
 sub-step failure is converted into a failed verdict naming the step;
 there is no silent pass.  `prove_identity` and `reverify_proof` run
 the one check sequence in `_check_sequence`.
+
+`ProofObject` fields are independent: the integrand families follow from
+the parameters and the verdict from the failure reason, so neither is stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import SingularRecurrenceError, TelescopicError
 from .families import (
@@ -61,27 +63,27 @@ class ProofObject:
     """Self-contained record of one run of the proof pipeline."""
 
     params: ParameterPair
-    left_family: IntegrandFamily
-    right_family: IntegrandFamily
     recurrence: Recurrence | None
     left_certificate: Certificate | None
     right_certificate: Certificate | None
     base_cases: tuple[tuple[int, LogCombination, LogCombination], ...]
     extra_checks: tuple[tuple[int, LogCombination, LogCombination], ...]
-    substitution_check: bool
-    verdict: str  # "proved" or "failed"
     failure_reason: str | None = None
 
     @property
     def proved(self) -> bool:
-        return self.verdict == "proved"
+        return self.failure_reason is None
+
+    @property
+    def verdict(self) -> str:
+        return "proved" if self.proved else "failed"
 
 
-def propagate_recurrence(
-    rec: Recurrence, initial: list[LogCombination], n_target: int
-) -> list[LogCombination]:
+def propagate_recurrence(rec: Recurrence, initial: list, n_target: int) -> list:
     """Exact forward propagation: values[n+order] solved from the
-    recurrence, starting from `initial` = values at n = 0..order-1."""
+    recurrence, starting from `initial` = values at n = 0..order-1.
+    Any values closed under + and Fraction multiples will do, such as
+    LogCombinations or one coordinate of the approximant pairs."""
     if len(initial) != rec.order:
         raise ValueError(f"need exactly {rec.order} initial values")
     if n_target < 0:
@@ -94,10 +96,10 @@ def propagate_recurrence(
             raise SingularRecurrenceError(
                 f"singular recurrence step: leading coefficient vanishes at n={n}"
             )
-        acc = LogCombination.zero()
-        for k in range(rec.order):
+        acc = rec.coefficient_at(0, n) * values[n]
+        for k in range(1, rec.order):
             acc = acc + rec.coefficient_at(k, n) * values[n + k]
-        values.append(acc.scale(Fraction(-1) / lead))
+        values.append((-1 / lead) * acc)
         n += 1
     return values[: n_target + 1]
 
@@ -140,6 +142,8 @@ def _leading_coefficient_degeneracy(rec: Recurrence) -> str | None:
 
 def _check_sequence(
     params: ParameterPair,
+    left: IntegrandFamily,
+    right: IntegrandFamily,
     rec: Recurrence,
     left_cert: Certificate,
     right_cert: Certificate,
@@ -148,15 +152,11 @@ def _check_sequence(
     """Run every check of the proof, in order, on one recurrence and its
     two certificates; the first failing check names the verdict.
 
-    Both families are rebuilt from `params`, so a certificate recorded
-    for other parameters cannot pass.  Each n is integrated once: the
-    base cases are the first `rec.order` values and the direct
-    comparisons the first `extra_n + 1`.
+    `left` and `right` are the families of `params`.  Each n is
+    integrated once: the base cases are the first `rec.order` values and
+    the direct comparisons the first `extra_n + 1`.
     """
-    left = make_left_family(params)
-    right = make_right_family(params)
     values: list[tuple[int, LogCombination, LogCombination]] = []
-    substitution_ok = False
 
     def finish(reason: str | None = None) -> ProofObject:
         base_cases = tuple(values[: rec.order])
@@ -164,15 +164,11 @@ def _check_sequence(
         base_ok = len(base_cases) == rec.order and all(l == r for _, l, r in base_cases)
         return ProofObject(
             params=params,
-            left_family=left,
-            right_family=right,
             recurrence=rec,
             left_certificate=left_cert,
             right_certificate=right_cert,
             base_cases=base_cases,
             extra_checks=tuple(values[: extra_n + 1]) if base_ok else (),
-            substitution_check=substitution_ok,
-            verdict="proved" if reason is None else "failed",
             failure_reason=reason,
         )
 
@@ -206,8 +202,7 @@ def _check_sequence(
                 return finish(f"direct comparison mismatch at n={n}")
 
         # 5. independent change-of-variables proof, for every n
-        substitution_ok = verify_substitution_proof(params)
-        if not substitution_ok:
+        if not verify_substitution_proof(params):
             return finish("substitution check failed")
 
         return finish()
@@ -219,15 +214,11 @@ def _unproved(params: ParameterPair, reason: str) -> ProofObject:
     """A failed proof that never reached a recurrence and certificates."""
     return ProofObject(
         params=params,
-        left_family=make_left_family(params),
-        right_family=make_right_family(params),
         recurrence=None,
         left_certificate=None,
         right_certificate=None,
         base_cases=(),
         extra_checks=(),
-        substitution_check=False,
-        verdict="failed",
         failure_reason=reason,
     )
 
@@ -249,6 +240,8 @@ def prove_identity(
         raise ValueError(f"mode must be 'verify' or 'discover', got {mode!r}")
     if extra_n < 0:
         raise ValueError("extra_n must be nonnegative")
+    left = make_left_family(params)
+    right = make_right_family(params)
     try:
         if mode == "verify":
             try:
@@ -260,12 +253,8 @@ def prove_identity(
                 )
             certs = closed_form_certificates(params)
         else:
-            rec, left_cert = discover(
-                make_left_family(params), max_order, max_cert_degree
-            )
-            rec_right, right_cert = discover(
-                make_right_family(params), max_order, max_cert_degree
-            )
+            rec, left_cert = discover(left, max_order, max_cert_degree)
+            rec_right, right_cert = discover(right, max_order, max_cert_degree)
             if rec != rec_right:
                 return _unproved(
                     params, "discovered recurrences differ between the two families"
@@ -274,7 +263,7 @@ def prove_identity(
         rec, (left_cert, right_cert) = normalize_pair(rec, certs)
     except TelescopicError as exc:
         return _unproved(params, str(exc))
-    return _check_sequence(params, rec, left_cert, right_cert, extra_n)
+    return _check_sequence(params, left, right, rec, left_cert, right_cert, extra_n)
 
 
 def reverify_proof(proof: ProofObject) -> bool:
@@ -291,4 +280,8 @@ def reverify_proof(proof: ProofObject) -> bool:
     # the rerun records n = 0..extra_n, so any other recorded n fails the
     # comparison, and a forged large n costs no extra integrations
     extra_n = len(proof.extra_checks) - 1
-    return _check_sequence(proof.params, rec, left_cert, right_cert, extra_n) == proof
+    # the families come from the recorded params, so a certificate
+    # recorded for other parameters cannot pass
+    params = proof.params
+    left, right = make_left_family(params), make_right_family(params)
+    return _check_sequence(params, left, right, rec, left_cert, right_cert, extra_n) == proof

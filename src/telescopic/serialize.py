@@ -11,6 +11,13 @@ Encodings, chosen for byte-stable reproducible output:
 - ProofObject: top-level keys in the fixed order params, families,
   recurrence, certificates, base_cases, extra_checks, substitution_check,
   verdict, tool_version.
+
+`families`, the `equal` flags, `substitution_check` and the verdict
+status are derived from the other entries, and every number has one
+spelling.  `proof_from_obj` reads only the independent entries and
+refuses a record that their re-encoding does not reproduce (key order
+and `tool_version` aside), so no edited derived entry and no
+non-canonical number passes.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import json
 from fractions import Fraction
 
 from ._version import __version__
-from .families import IntegrandFamily, ParameterPair
+from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
 from .integration import LogCombination
 from .polynomials import Poly
 from .prove import ProofObject
@@ -85,22 +92,12 @@ def family_to_obj(fam: IntegrandFamily) -> dict:
     }
 
 
-def family_from_obj(obj: dict) -> IntegrandFamily:
-    # 1/den is recorded as 1/lc(den) over monic(den); other forms raise ValueError
-    cofactor = ratfunc_from_obj(obj["cofactor"])
-    scale = cofactor.num.leading_coefficient()
-    fam = IntegrandFamily(Poly(c / scale for c in cofactor.den))
-    if family_to_obj(fam) != obj:
-        raise ValueError("recorded family is not x^n (1-x)^n / den^(n+1)")
-    return fam
-
-
 def recurrence_to_obj(rec: Recurrence) -> dict:
     return {"order": rec.order, "coeffs": [poly_to_obj(c) for c in rec.coeffs]}
 
 
 def recurrence_from_obj(obj: dict) -> Recurrence:
-    return Recurrence(obj["order"], tuple(poly_from_obj(c) for c in obj["coeffs"]))
+    return Recurrence(int(obj["order"]), tuple(poly_from_obj(c) for c in obj["coeffs"]))
 
 
 def certificate_to_obj(cert: Certificate) -> dict:
@@ -125,7 +122,7 @@ def _checks_to_obj(checks) -> list:
 
 def _checks_from_obj(obj) -> tuple:
     return tuple(
-        (entry["n"], logcomb_from_obj(entry["left"]), logcomb_from_obj(entry["right"]))
+        (int(entry["n"]), logcomb_from_obj(entry["left"]), logcomb_from_obj(entry["right"]))
         for entry in obj
     )
 
@@ -137,8 +134,8 @@ def proof_to_obj(proof: ProofObject) -> dict:
     return {
         "params": params_to_obj(proof.params),
         "families": {
-            "left": family_to_obj(proof.left_family),
-            "right": family_to_obj(proof.right_family),
+            "left": family_to_obj(make_left_family(proof.params)),
+            "right": family_to_obj(make_right_family(proof.params)),
         },
         "recurrence": (
             None if proof.recurrence is None else recurrence_to_obj(proof.recurrence)
@@ -157,7 +154,8 @@ def proof_to_obj(proof: ProofObject) -> dict:
         },
         "base_cases": _checks_to_obj(proof.base_cases),
         "extra_checks": _checks_to_obj(proof.extra_checks),
-        "substitution_check": proof.substitution_check,
+        # the change of variables is the last check, so it passed iff proved
+        "substitution_check": proof.proved,
         "verdict": verdict,
         "tool_version": __version__,
     }
@@ -167,12 +165,17 @@ def proof_to_json(proof: ProofObject) -> str:
     return json.dumps(proof_to_obj(proof), indent=2) + "\n"
 
 
+def _canonical(obj: dict) -> str:
+    # tool_version names the writer, not the proof
+    return json.dumps({**obj, "tool_version": None}, sort_keys=True)
+
+
 def proof_from_obj(obj: dict) -> ProofObject:
+    """Decode the independent fields; ValueError unless re-encoding them
+    reproduces `obj` (module docstring)."""
     certs = obj["certificates"]
-    return ProofObject(
+    proof = ProofObject(
         params=params_from_obj(obj["params"]),
-        left_family=family_from_obj(obj["families"]["left"]),
-        right_family=family_from_obj(obj["families"]["right"]),
         recurrence=(
             None if obj["recurrence"] is None else recurrence_from_obj(obj["recurrence"])
         ),
@@ -184,10 +187,11 @@ def proof_from_obj(obj: dict) -> ProofObject:
         ),
         base_cases=_checks_from_obj(obj["base_cases"]),
         extra_checks=_checks_from_obj(obj["extra_checks"]),
-        substitution_check=obj["substitution_check"],
-        verdict=obj["verdict"]["status"],
         failure_reason=obj["verdict"].get("reason"),
     )
+    if _canonical(proof_to_obj(proof)) != _canonical(obj):
+        raise ValueError("proof record is not the canonical encoding of its fields")
+    return proof
 
 
 def proof_from_json(text: str) -> ProofObject:

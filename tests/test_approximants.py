@@ -115,6 +115,24 @@ def test_table_rows_reassemble_exactly():
             assert row.p != 0
 
 
+def test_fraction_seeds_reproduce_table_pairs():
+    # the recurrence carries R(n) = p_n * Lambda - q_n coordinate by
+    # coordinate: Fraction seeds (1, p_1) and (0, q_1) give the pairs of
+    # the LogCombination values and of the table rows
+    params = ParameterPair(Fraction(7, 2), Fraction(1, 3))
+    rec = closed_form_recurrence(params)
+    right = make_right_family(params)
+    lam = integrate_01(right.at(0))
+    values = propagate_recurrence(rec, [lam, integrate_01(right.at(1))], 40)
+    p1, q1 = decompose_against(values[1], lam)
+    ps = propagate_recurrence(rec, [Fraction(1), p1], 40)
+    qs = propagate_recurrence(rec, [Fraction(0), q1], 40)
+    assert all(isinstance(x, Fraction) for x in ps + qs)
+    pairs = list(zip(ps, qs))
+    assert pairs == [decompose_against(value, lam) for value in values]
+    assert pairs == [(row.p, row.q) for row in approximant_table(params, 40)]
+
+
 def test_table_error_identity():
     # abs_error * p equals the linear form |p*Lambda - q| to working precision
     params = ParameterPair(5, 2)

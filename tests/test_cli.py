@@ -86,8 +86,6 @@ def test_prove_summary_reports_unequal_comparisons(monkeypatch, capsys):
     broken = dataclasses.replace(
         proof,
         extra_checks=proof.extra_checks[:-1] + ((n, left, right + LogCombination(1)),),
-        substitution_check=False,
-        verdict="failed",
         failure_reason=f"direct comparison mismatch at n={n}",
     )
     monkeypatch.setattr(cli, "prove_identity", lambda *args, **kwargs: broken)

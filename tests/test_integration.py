@@ -155,6 +155,8 @@ def test_logcomb_str():
     assert str(LogCombination.zero()) == "0"
     assert str(log_of_rational(Fraction(4, 3))) == "2*log(2) - 1*log(3)"
     assert str(LogCombination(-2, {2: 14, 3: -7})) == "-2 + 14*log(2) - 7*log(3)"
+    assert str(LogCombination(0, {3: -1})) == "-1*log(3)"
+    assert str(LogCombination(0, {2: Fraction(-1, 2), 3: 1})) == "-1/2*log(2) + 1*log(3)"
 
 
 # -- float conversion ------------------------------------------------------------

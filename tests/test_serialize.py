@@ -28,7 +28,6 @@ from telescopic import (
 from telescopic.serialize import (
     certificate_from_obj,
     certificate_to_obj,
-    family_from_obj,
     family_to_obj,
     logcomb_from_obj,
     logcomb_to_obj,
@@ -87,8 +86,6 @@ def test_component_round_trips():
     for _ in range(20):
         params = random_params(rng)
         assert params_from_obj(params_to_obj(params)) == params
-        for fam in (make_left_family(params), make_right_family(params)):
-            assert family_from_obj(family_to_obj(fam)) == fam
         rec = closed_form_recurrence(params)
         assert recurrence_from_obj(recurrence_to_obj(rec)) == rec
         c1, c2 = closed_form_certificates(params)
@@ -96,11 +93,55 @@ def test_component_round_trips():
         assert certificate_from_obj(certificate_to_obj(c2)) == c2
 
 
-def test_family_from_obj_refuses_other_forms():
-    obj = family_to_obj(make_left_family(ParameterPair(2, 1)))
-    obj["ratio"]["num"] = poly_to_obj(Poly([0, 1]))  # r = x/Q
-    with pytest.raises(ValueError, match="not x\\^n"):
-        family_from_obj(obj)
+def _set_first_equal_false(obj):
+    obj["base_cases"][0]["equal"] = False
+
+
+def _set_families_of_3_1(obj):
+    params = ParameterPair(3, 1)
+    obj["families"] = {
+        "left": family_to_obj(make_left_family(params)),
+        "right": family_to_obj(make_right_family(params)),
+    }
+
+
+def _set_substitution_check_false(obj):
+    obj["substitution_check"] = False
+
+
+def _set_null_reason(obj):
+    obj["verdict"]["reason"] = None
+
+
+def _write_2_as_4_over_2(obj):
+    num = obj["certificates"]["left"]["parts"][0]["num"]
+    assert num[1] == "2"
+    num[1] = "4/2"
+
+
+def _write_n_0_as_false(obj):
+    obj["base_cases"][0]["n"] = False
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_first_equal_false,
+        _set_families_of_3_1,
+        _set_substitution_check_false,
+        _set_null_reason,
+        _write_2_as_4_over_2,
+        _write_n_0_as_false,
+    ],
+    ids=lambda edit: edit.__name__.lstrip("_"),
+)
+def test_proof_from_json_refuses_non_canonical_records(edit):
+    # derived entries and number spellings are not data: any edit of
+    # them is refused at decode, so only the independent fields are read
+    obj = json.loads(proof_to_json(prove_identity(ParameterPair(2, 1), extra_n=2)))
+    edit(obj)
+    with pytest.raises(ValueError, match="canonical encoding"):
+        proof_from_json(json.dumps(obj))
 
 
 def test_proof_json_key_order():
@@ -131,6 +172,10 @@ def test_proof_round_trip_and_reverify():
     assert restored == proof
     assert proof_to_json(restored) == text  # byte-identical re-serialization
     assert reverify_proof(restored)
+    # the writer's tool_version and the key order are not proof data
+    obj = json.loads(text)
+    obj["tool_version"] = "0.0.0-other"
+    assert proof_from_json(json.dumps(obj, sort_keys=True)) == proof
 
 
 def test_failed_proof_serializes_with_reason():
@@ -156,7 +201,6 @@ def test_failed_proof_round_trip():
         recurrence=None,
         left_certificate=None,
         right_certificate=None,
-        verdict="failed",
         failure_reason="synthetic failure for the encoder",
     )
     restored = proof_from_json(proof_to_json(failed))
