@@ -11,17 +11,35 @@ Lambda, and (a-b) * Lambda = log(1 + (a-b)/((a+1)b)).
 The recurrence is linear, so it carries the pairs (p_n, q_n) exactly:
 (p_0, q_0) = (1, 0), (p_1, q_1) comes from decomposing R(1), and every
 later pair is the same combination of the two before it as R(n) is of
-R(n-1) and R(n-2).  `propagate_recurrence` runs it on the p and the q
-coordinates.  The recurrence is numerically unstable in the
-decaying direction, so a floating iteration would be useless; floats
-appear only in the reported columns.  There Lambda is evaluated once,
-at a working precision sized from the table's largest cancellation
-between p_n * Lambda and q_n, and each linear form p_n * Lambda - q_n
-is rounded from it to the caller-chosen precision.
+R(n-1) and R(n-2).  The pairs travel as the integers
+
+    P_n = K^n * p_n,    Q_n = K^n * d_n * q_n,
+
+with d_n = lcm(1..n), k = (a-b)/((a+1)b) and
+K = lcm(num(k)^2, num((a-b)^2)), in the normalisation of Alladi and
+Robinson (Legendre polynomials and irrationality, J. reine angew. Math.
+318, 1980).  Each step is one exact division by the leading recurrence
+coefficient at integer values; a remainder raises TelescopicError, so
+nothing is rounded and no step reduces a fraction.  The `Fraction`
+pair of a row is built once, for output.
+
+The recurrence is numerically unstable in the decaying direction, so a
+floating iteration would be useless; floats appear only in the
+reported columns.  There Lambda is evaluated once, at a working
+precision sized from the table's largest cancellation between
+p_n * Lambda and q_n, and each linear form p_n * Lambda - q_n is
+rounded from it to the caller-chosen precision.  The first guess of
+that cancellation comes from one extra row N = n_max + 1: the
+Casoratian W = p_(N-1) q_N - p_N q_(N-1) equals
+p_N R(N-1) - p_(N-1) R(N), whose second term is the smaller, so
+|R(N-1)| ~ |W| / |p_N| and the last row cancels about
+log2 |q_(N-1) p_N / W| bits.  The cancellation is then measured on
+every row, and a guess that falls short widens the precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +48,6 @@ import mpmath
 from .errors import SpanError, TelescopicError
 from .families import ParameterPair, make_right_family
 from .integration import LogCombination, integrate_01, log_of_rational, logcomb_to_float
-from .prove import propagate_recurrence
 from .serialize import rational_to_str
 from .telescoping import closed_form_recurrence
 
@@ -82,41 +99,88 @@ def decompose_against(value: LogCombination, lam: LogCombination) -> tuple[Fract
     return p, q
 
 
+def _normalising_factor(params: ParameterPair) -> int:
+    """K = lcm(num(k)^2, num((a-b)^2)) with k = (a-b)/((a+1)b)."""
+    a, b = params.a, params.b
+    k = (a - b) / ((a + 1) * b)
+    return math.lcm(k.numerator**2, ((a - b) ** 2).numerator)
+
+
+def _lcm_steps(n_target: int) -> list[int]:
+    """e_m = d_m / d_(m-1) for m = 0..n_target, with d_m = lcm(1..m) and
+    e_0 = 1: the prime p when m is a power of p, else 1."""
+    steps, lcm = [1], 1
+    for m in range(1, n_target + 1):
+        step = m // math.gcd(lcm, m)
+        steps.append(step)
+        lcm *= step
+    return steps
+
+
+def _integer_pairs(
+    params: ParameterPair, K: int, steps: list[int], p1: Fraction, q1: Fraction
+) -> tuple[list[int], list[int]]:
+    """P_n = K^n p_n and Q_n = K^n d_n q_n for n = 0..len(steps) - 1,
+    from (p_1, q_1) and the lcm steps e_m = d_m / d_(m-1).
+
+    Each step is one exact integer division by the leading recurrence
+    coefficient; a remainder means K or d_n does not clear the
+    denominators, and raises TelescopicError instead of rounding.
+    """
+    P1, Q1 = K * p1, K * q1
+    if P1.denominator != 1 or Q1.denominator != 1:
+        raise TelescopicError(f"K = {K} does not clear the denominators at n=1")
+    ps, qs = [1, P1.numerator], [0, Q1.numerator]
+    rec, _ = closed_form_recurrence(params).normalized()
+    for n in range(len(steps) - 2):
+        c0, c1, c2 = (rec.coefficient_at(k, n).numerator for k in range(3))
+        # c2 F(n+2) = -c1 F(n+1) - c0 F(n) with F(m) = P_m / K^m, or Q_m / (K^m d_m)
+        u, v = -K * c1, -K * K * c0
+        e1, e2 = steps[n + 1], steps[n + 2]
+        p, p_rem = divmod(u * ps[n + 1] + v * ps[n], c2)
+        q, q_rem = divmod(u * e2 * qs[n + 1] + v * e1 * e2 * qs[n], c2)
+        if p_rem or q_rem:
+            raise TelescopicError(f"K = {K} does not clear the denominators at n={n + 2}")
+        ps.append(p)
+        qs.append(q)
+    return ps, qs
+
+
 def _linear_forms(
-    lam: LogCombination, pairs: list[tuple[Fraction, Fraction]], precision_bits: int
+    lam: LogCombination,
+    forms: list[tuple[int, int, int]],
+    cancellation: int,
+    precision_bits: int,
 ) -> list[mpmath.mpf]:
-    """|p * Lambda - q| for each pair, rounded to precision_bits.
+    """|u * Lambda - v| / w for each form (u, v, w), rounded to precision_bits.
 
     Lambda is evaluated once, at precision_bits + 64 guard bits + the
-    largest cancellation mag(p * Lambda) - mag(p * Lambda - q) + 8 slack
-    bits.  The cancellation is guessed from the last pair's numerators
-    and measured on the forms; when the measurement exceeds the guess,
+    largest cancellation mag(u * Lambda) - mag(u * Lambda - v) + 8 slack
+    bits.  `cancellation` is the first guess; the cancellation is
+    measured on the forms, and when the measurement exceeds the guess,
     the working precision is widened and Lambda evaluated again.
     """
-    p_last, q_last = pairs[-1]
-    cancellation = p_last.numerator.bit_length() + q_last.numerator.bit_length()
     while True:
         workbits = precision_bits + 64 + cancellation + 8
         lam_value = logcomb_to_float(lam, workbits)
-        # p * Lambda - q = (P * Lambda - Q) / D over D = den(p) * den(q)
-        scaled = []
+        differences = []
         worst = 0
         with mpmath.workprec(workbits):
-            for p, q in pairs:
-                product = lam_value * (p.numerator * q.denominator)
-                difference = product - q.numerator * p.denominator
+            for u, v, _ in forms:
+                product = lam_value * u
+                difference = product - v
                 if not difference:
                     worst = workbits  # no bit survived: it cancels at least this far
                     break
                 worst = max(worst, mpmath.mag(product) - mpmath.mag(difference))
-                scaled.append((difference, p.denominator * q.denominator))
+                differences.append(difference)
         # The rounding error of each product is below 2^(mag(product) + 1
         # - workbits); within the guess, |difference| is at least
         # 2^(mag(product) - cancellation - 1), so every difference carries
         # precision_bits + 70 correct bits, however far the guess was off.
         if worst <= cancellation:
             with mpmath.workprec(precision_bits):
-                return [abs(difference / denominator) for difference, denominator in scaled]
+                return [abs(d / w) for d, (_, _, w) in zip(differences, forms)]
         cancellation = worst
 
 
@@ -136,26 +200,40 @@ def approximant_table(
     right = make_right_family(params)
     lam = integrate_01(right.at(0))
     p1, q1 = decompose_against(integrate_01(right.at(1)), lam)
-    rec = closed_form_recurrence(params)
-    ps = propagate_recurrence(rec, [Fraction(1), p1], n_max)
-    qs = propagate_recurrence(rec, [Fraction(0), q1], n_max)
-    pairs = list(zip(ps, qs))
-    for n, (p, _) in enumerate(pairs):
-        if p == 0:
+    K = _normalising_factor(params)
+    steps = _lcm_steps(n_max + 1)
+    ps, qs = _integer_pairs(params, K, steps, p1, q1)
+    pairs = []
+    forms = []  # p_n Lambda - q_n = (P_n d_n Lambda - Q_n) / (K^n d_n)
+    power, lcm = 1, 1  # K^n and d_n
+    for n in range(n_max + 1):
+        P, Q = ps[n], qs[n]
+        if P == 0:
             raise SpanError(f"approximant with p=0 at n={n}")
-    linear_forms = _linear_forms(lam, pairs, precision_bits)
+        lcm *= steps[n]
+        pairs.append((Fraction(P, power), Fraction(Q, power * lcm)))
+        forms.append((P * lcm, Q, power * lcm))
+        power *= K
+    # W = p_(N-1) q_N - p_N q_(N-1) is (P_(N-1) Q_N - P_N Q_(N-1) e_N) / (K^(2N-1) d_N)
+    # (module docstring).  The bit lengths give log2 |q_(N-1) p_N / W| less at
+    # most one bit, and mag() reads a cancellation at most one bit above its
+    # log2, so + 2 covers the last row while |W| ~ |p_N R(N-1)| holds.
+    N = n_max + 1
+    W = ps[N - 1] * qs[N] - ps[N] * qs[N - 1] * steps[N]
+    guess = qs[N - 1].bit_length() + ps[N].bit_length() + steps[N].bit_length() - W.bit_length()
+    linear_forms = _linear_forms(lam, forms, max(guess + 2, 0), precision_bits)
     rows: list[ApproximantRow] = []
-    for n, ((p, q), linear_form) in enumerate(zip(pairs, linear_forms)):
-        with mpmath.workprec(precision_bits):
-            value = _to_mpf(q / p)
-            abs_error = linear_form / abs(_to_mpf(p))
+    with mpmath.workprec(precision_bits):
+        for n, ((p, q), (u, Q, _), linear_form) in enumerate(zip(pairs, forms, linear_forms)):
+            g = math.gcd(Q, u) if u > 0 else -math.gcd(Q, u)  # q/p = Q / (P d_n) = Q / u
+            value = mpmath.mpf(Q // g) / (u // g)
+            size = abs(_to_mpf(p))
+            abs_error = linear_form / size
             if abs_error == 0:
                 exponent = mpmath.inf
             else:
-                exponent = 1 + mpmath.ln(abs(_to_mpf(p))) / (-mpmath.ln(abs_error))
-            rows.append(
-                ApproximantRow(n, p, q, +value, +abs_error, +exponent)
-            )
+                exponent = 1 + mpmath.ln(size) / (-mpmath.ln(abs_error))
+            rows.append(ApproximantRow(n, p, q, +value, +abs_error, +exponent))
     return rows
 
 

@@ -83,7 +83,7 @@ def propagate_recurrence(rec: Recurrence, initial: list, n_target: int) -> list:
     """Exact forward propagation: values[n+order] solved from the
     recurrence, starting from `initial` = values at n = 0..order-1.
     Any values closed under + and Fraction multiples will do, such as
-    LogCombinations or one coordinate of the approximant pairs."""
+    LogCombinations or Fractions."""
     if len(initial) != rec.order:
         raise ValueError(f"need exactly {rec.order} initial values")
     if n_target < 0:

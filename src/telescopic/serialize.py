@@ -171,24 +171,32 @@ def _canonical(obj: dict) -> str:
 
 
 def proof_from_obj(obj: dict) -> ProofObject:
-    """Decode the independent fields; ValueError unless re-encoding them
-    reproduces `obj` (module docstring)."""
-    certs = obj["certificates"]
-    proof = ProofObject(
-        params=params_from_obj(obj["params"]),
-        recurrence=(
-            None if obj["recurrence"] is None else recurrence_from_obj(obj["recurrence"])
-        ),
-        left_certificate=(
-            None if certs["left"] is None else certificate_from_obj(certs["left"])
-        ),
-        right_certificate=(
-            None if certs["right"] is None else certificate_from_obj(certs["right"])
-        ),
-        base_cases=_checks_from_obj(obj["base_cases"]),
-        extra_checks=_checks_from_obj(obj["extra_checks"]),
-        failure_reason=obj["verdict"].get("reason"),
-    )
+    """Decode the independent fields; ValueError if `obj` is not an
+    object, lacks or mistypes an entry, or is not what re-encoding its
+    fields reproduces (module docstring)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"proof record must be an object, not {type(obj).__name__}")
+    try:
+        certs = obj["certificates"]
+        proof = ProofObject(
+            params=params_from_obj(obj["params"]),
+            recurrence=(
+                None if obj["recurrence"] is None else recurrence_from_obj(obj["recurrence"])
+            ),
+            left_certificate=(
+                None if certs["left"] is None else certificate_from_obj(certs["left"])
+            ),
+            right_certificate=(
+                None if certs["right"] is None else certificate_from_obj(certs["right"])
+            ),
+            base_cases=_checks_from_obj(obj["base_cases"]),
+            extra_checks=_checks_from_obj(obj["extra_checks"]),
+            failure_reason=obj["verdict"].get("reason"),
+        )
+    except KeyError as exc:
+        raise ValueError(f"proof record lacks the entry {exc}") from exc
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"proof record has a mistyped entry: {exc}") from exc
     if _canonical(proof_to_obj(proof)) != _canonical(obj):
         raise ValueError("proof record is not the canonical encoding of its fields")
     return proof

@@ -14,6 +14,7 @@ from telescopic import (
     LogCombination,
     ParameterPair,
     SpanError,
+    TelescopicError,
     approximant_table,
     closed_form_recurrence,
     decay_rate_estimate,
@@ -211,6 +212,76 @@ def test_table_csv_golden_digests(params, n_max, precision_bits, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# -- integer pairs ------------------------------------------------------------------
+
+# a in the benchmark's approx workload: (a, 1) with 2a/(a+1) a ratio of two prime powers
+BENCHMARK_HEADS = (2, 3, 4, 5, 7, 8, 9, 13, 16)
+
+
+def _integer_pairs(params, n_target):
+    right = make_right_family(params)
+    lam = integrate_01(right.at(0))
+    p1, q1 = decompose_against(integrate_01(right.at(1)), lam)
+    K = telescopic.approximants._normalising_factor(params)
+    steps = telescopic.approximants._lcm_steps(n_target)
+    return telescopic.approximants._integer_pairs(params, K, steps, p1, q1)
+
+
+@pytest.mark.parametrize(
+    "params, n_target",
+    [(ParameterPair(a, 1), 230) for a in BENCHMARK_HEADS]
+    + [
+        (ParameterPair(a, b), 1000)
+        for a, b in [
+            (2, 1),
+            (Fraction(7, 2), Fraction(1, 3)),
+            (5, 1),
+            (Fraction(3, 2), Fraction(1, 2)),
+            (Fraction(9, 4), Fraction(2, 7)),
+            (Fraction(301006, 46141), Fraction(729379, 805120)),
+        ]
+    ],
+    ids=str,
+)
+def test_integer_pairs_divide_exactly(params, n_target):
+    # K^n p_n and K^n d_n q_n stay integers: no step leaves a remainder
+    ps, qs = _integer_pairs(params, n_target)
+    assert len(ps) == len(qs) == n_target + 1
+
+
+@pytest.mark.parametrize(
+    "params, wrong_factor, n",
+    [
+        # num(k)^2 = 4 alone leaves q_1 = 1/8 a fraction
+        (ParameterPair(5, 1), 4, 1),
+        # 2 clears (p_1, q_1) but not (p_2, q_2); K = 16
+        (ParameterPair(Fraction(3, 2), Fraction(1, 2)), 2, 2),
+    ],
+    ids=str,
+)
+def test_wrong_normalising_factor_raises(monkeypatch, params, wrong_factor, n):
+    monkeypatch.setattr(
+        telescopic.approximants, "_normalising_factor", lambda params: wrong_factor
+    )
+    with pytest.raises(TelescopicError, match=f"does not clear the denominators at n={n}$"):
+        approximant_table(params, 20)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+@pytest.mark.parametrize(
+    "params",
+    [
+        ParameterPair(Fraction(7, 2), Fraction(1, 3)),
+        ParameterPair(5, 1),
+        ParameterPair(Fraction(3, 4), Fraction(1, 2)),
+    ],
+    ids=str,
+)
+def test_short_tables_match_reference(params, n_max):
+    # the extra row behind the first guess and the seeds at n = 0, 1
+    _assert_matches_reference(params, n_max, 256)
+
+
 def _count_log_evaluations(monkeypatch):
     calls = []
     original = telescopic.approximants.logcomb_to_float
@@ -223,21 +294,30 @@ def _count_log_evaluations(monkeypatch):
     return calls
 
 
-def test_table_evaluates_the_logarithm_at_most_twice(monkeypatch):
+def test_table_evaluates_the_logarithm_once(monkeypatch):
     calls = _count_log_evaluations(monkeypatch)
-    approximant_table(ParameterPair(2, 1), 200)
-    assert 1 <= len(calls) <= 2
+    for a in BENCHMARK_HEADS:
+        calls.clear()
+        approximant_table(ParameterPair(a, 1), 229)
+        assert len(calls) == 1, a
 
 
 @pytest.mark.parametrize(
     "params, n_max, evaluations",
     [
-        (ParameterPair(3, 1), 40, 1),  # the first working precision suffices
-        (ParameterPair(5, 1), 5, 2),  # the measured cancellation widens it
+        (ParameterPair(3, 1), 40, 1),  # the Casoratian guess suffices
+        (ParameterPair(5, 1), 5, 2),  # a first guess of 0 falls short and is widened
     ],
 )
 def test_table_precision_branches_match_reference(monkeypatch, params, n_max, evaluations):
     calls = _count_log_evaluations(monkeypatch)
+    if evaluations == 2:
+        linear_forms = telescopic.approximants._linear_forms
+        monkeypatch.setattr(
+            telescopic.approximants,
+            "_linear_forms",
+            lambda lam, forms, _, precision_bits: linear_forms(lam, forms, 0, precision_bits),
+        )
     rows = approximant_table(params, n_max)
     assert len(calls) == evaluations
     assert calls == sorted(set(calls))

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import telescopic
 from telescopic import (
     LogCombination,
     ParameterPair,
@@ -192,6 +197,22 @@ def test_approx_writes_csv_and_dat(tmp_path, capsys):
     dat_lines = (tmp_path / "table.csv.dat").read_text().splitlines()
     assert len(dat_lines) == 5
     assert dat_lines[0].split()[0] == "0"
+
+
+def test_module_entry_point_runs_the_cli():
+    # `python -m telescopic` from a checkout, as its own process
+    source_root = str(Path(telescopic.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "telescopic", "approx", "--a", "2", "--b", "1", "--n-max", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [line.split(",")[:3] for line in result.stdout.splitlines()[1:]]
+    assert rows == [["0", "1", "0"], ["1", "7", "2"], ["2", "73", "21"]]
 
 
 # -- quad -----------------------------------------------------------------------

@@ -144,6 +144,18 @@ def test_proof_from_json_refuses_non_canonical_records(edit):
         proof_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "3", "null", "{}", '{"params": {"a": "2", "b": "1"}}'],
+    ids=["list", "number", "null", "empty_object", "params_only"],
+)
+def test_proof_from_json_refuses_malformed_records(text):
+    # a record that is not an object or lacks an entry is refused like any
+    # other bad record, not by a TypeError or KeyError from the decoder
+    with pytest.raises(ValueError, match="proof record"):
+        proof_from_json(text)
+
+
 def test_proof_json_key_order():
     proof = prove_identity(ParameterPair(2, 1), extra_n=1)
     obj = json.loads(proof_to_json(proof))
