@@ -198,8 +198,9 @@ def approximant_table(
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     right = make_right_family(params)
-    lam = integrate_01(right.at(0))
-    p1, q1 = decompose_against(integrate_01(right.at(1)), lam)
+    integrals = right.integrals()
+    lam = next(integrals)
+    p1, q1 = decompose_against(next(integrals), lam)
     K = _normalising_factor(params)
     steps = _lcm_steps(n_max + 1)
     ps, qs = _integer_pairs(params, K, steps, p1, q1)

@@ -19,7 +19,7 @@ from ._version import __version__
 from .approximants import approximant_table, rows_to_csv
 from .errors import AnsatzExhaustedError, TelescopicError, ToleranceNotMetError
 from .families import ParameterPair, make_left_family, make_right_family
-from .integration import integrate_01, logcomb_to_float
+from .integration import logcomb_to_float
 from .prove import prove_identity
 from .quadrature import quad_01
 from .telescoping import discover, verify_telescoping
@@ -185,9 +185,9 @@ def cmd_quad(params: ParameterPair, args: argparse.Namespace) -> int:
         ("left", make_left_family(params)),
         ("right", make_right_family(params)),
     ):
-        for n in range(args.n_max + 1):
+        for n, value in zip(range(args.n_max + 1), fam.integrals()):
             integrand = fam.at(n)
-            exact = float(logcomb_to_float(integrate_01(integrand), 64))
+            exact = float(logcomb_to_float(value, 64))
             status = "ok"
             try:
                 result = quad_01(integrand, args.tol)

@@ -1,12 +1,7 @@
 """Exact integration of rational functions over [0, 1].
 
 The integrands treated here have denominators that split into linear
-factors with rational roots, all outside [0, 1].  The poles come from
-one pass: a single gcd gives the squarefree part of the denominator, its
-rational roots are found directly, and the Taylor shift of the
-denominator at each root shows that root's multiplicity.  A pole inside
-[0, 1] is read off those roots; only a denominator that does not split
-over Q is searched for real roots there.  Partial fractions then
+factors with rational roots, all outside [0, 1].  Partial fractions
 reduce the integral to rational contributions (polynomial part, poles of
 multiplicity >= 2) plus simple-pole terms c/(x - root) whose integrals
 are c * log of a positive rational.  Factoring those rationals into
@@ -17,15 +12,29 @@ primes yields the canonical exact value type of this package:
 By unique factorization and the linear independence of {log p} over Q,
 this form is unique, so equality of exact integral values is a
 structural comparison — the engine's base-case checks need no numerics.
-"""
 
+One kernel computes the principal part at a root, as a power series in
+integers, and one assembly turns principal parts and a polynomial part
+into a LogCombination.  The poles come from two sources.  For a single
+rational function (integrate_01), one pass finds them: a single gcd
+gives the squarefree part of the denominator, its rational roots are
+found directly, and the Taylor shift of the denominator at each root
+shows that root's multiplicity.  A pole inside [0, 1] is read off those
+roots; only a denominator that does not split over Q is searched for
+real roots there.  For a whole integrand family, IntegrandFamily.integrals
+finds the roots and the factored logs once and carries every member's
+poles from the last.  The assembly sums the rational constants in
+integers: the polynomial part over lcm(1..d+1), and the poles of order
+>= 2 at each root through one polynomial evaluated by integer Horner
+steps; a single Fraction is reduced at the end.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 import mpmath
 
@@ -118,7 +127,8 @@ class LogCombination:
         merged: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for prime, coeff in items:
-            merged[prime] = merged.get(prime, Fraction(0)) + _to_fraction(coeff)
+            coeff = _to_fraction(coeff)
+            merged[prime] = merged[prime] + coeff if prime in merged else coeff
         cleaned = tuple(
             (p, c) for p, c in sorted(merged.items()) if c != 0
         )
@@ -343,51 +353,126 @@ class PartialFractionForm:
         return total
 
 
+class PrincipalPart(NamedTuple):
+    """The poles at one root: the coefficient of 1/(x - root)^(len(ws) - t)
+    is scale * ws[t] / gap^t."""
+
+    root: Fraction
+    scale: Fraction
+    gap: int
+    ws: list[int]
+
+
+def _split_poles(den: Poly) -> list[tuple[Fraction, int, Poly, int]]:
+    """(root, multiplicity, den(y + root), gap) for each root of den, with
+    gap the product of the numerators |num(rho - root)| over the other
+    roots rho; NonRationalRootError unless den splits over Q."""
+    poles, leftover = _rational_poles(den)
+    if leftover.degree() > 0:
+        raise NonRationalRootError(f"denominator factor {leftover} has no rational root")
+    roots = [root for root, _, _ in poles]
+    gaps = [math.prod(abs((other - root).numerator) for other in roots if other != root) for root in roots]
+    return [(root, mult, shifted, gap) for (root, mult, shifted), gap in zip(poles, gaps)]
+
+
+def _principal_part(root: Fraction, order: int, shifted_den: Poly, numer: Poly, gap: int) -> PrincipalPart:
+    """The principal part of A/D at root, of the given order, from
+    D(y + root) = y^order * B(y) and any A(y + root) = numer(y) that is
+    right modulo y^order.
+
+    Its coefficients are the series of A(y + root)/B(y) to order - 1.  The
+    series runs in integers: B(y) = B(0) * prod (1 - y/s)^k over s = rho - root
+    for the other roots rho, so with P = gap, B(Pz)/B(0) has integer
+    coefficients and constant term 1, and so has its reciprocal series.
+    The coefficient of y^t is then an integer over B(0) * P^t, the size
+    the exact coefficient needs.
+    """
+    basis = shifted_den._ints[order:]  # B(y), over shifted_den._den
+    b0 = basis[0]
+    scaled_numer, scaled_basis, inverse, ws = [], [1], [1], []  # A(Pz), B(Pz)/B(0), 1/that
+    power = 1  # P^t
+    for t in range(order):
+        scaled_numer.append(numer._ints[t] * power if t < len(numer._ints) else 0)
+        if t:
+            if t < len(basis):
+                scaled_basis.append(basis[t] * power // b0)
+            inverse.append(-sum(map(mul, scaled_basis[1:], reversed(inverse))))
+        # the z^t coefficient of A(Pz) / (B(Pz)/B(0))
+        ws.append(sum(map(mul, scaled_numer, reversed(inverse))))
+        power *= gap
+    return PrincipalPart(root, Fraction(shifted_den._den, numer._den * b0), gap, ws)
+
+
+def _decompose(f: RatFunc) -> tuple[Poly, list[PrincipalPart]]:
+    """The polynomial part of f and its principal part at every root of f.den."""
+    poly_part, remainder = divmod(f.num, f.den)
+    if remainder.is_zero():
+        return poly_part, []
+    return poly_part, [
+        _principal_part(root, mult, shifted, remainder.shift(root), gap)
+        for root, mult, shifted, gap in _split_poles(f.den)
+    ]
+
+
 def partial_fractions(f: RatFunc) -> PartialFractionForm:
     """Exact decomposition over Q; requires the denominator to split into
     linear factors with rational roots.
 
     Principal parts are read off a truncated power series: with y = x-r
     and den = y^m * B(y), the series of num(y+r)/B(y) to order m-1 gives
-    the coefficients of 1/(x-r)^m, ..., 1/(x-r).  The series runs in
-    integers: B(y) = B(0) * prod (1 - y/s)^k over s = rho - r for the
-    other roots rho, so with P the product of the numerators of those s,
-    B(Pz)/B(0) has integer coefficients and constant term 1, and so has
-    its reciprocal series.  The coefficient of y^t is then an integer over
-    B(0) * P^t, the size the exact coefficient needs.
+    the coefficients of 1/(x-r)^m, ..., 1/(x-r) (see _principal_part).
     """
-    poly_part, remainder = divmod(f.num, f.den)
-    if remainder.is_zero():
-        return PartialFractionForm(poly_part, ())
-    poles, leftover = _rational_poles(f.den)
-    if leftover.degree() > 0:
-        raise NonRationalRootError(f"denominator factor {leftover} has no rational root")
-    roots = [root for root, _, _ in poles]
-    pole_terms: list[PoleTerm] = []
-    for root, mult, shifted_den in poles:
-        numer = remainder.shift(root)  # A(y) = remainder(y + root)
-        basis = shifted_den._ints[mult:]  # B(y) = den(y+root)/y^m, over shifted_den._den
-        b0 = basis[0]
-        p = math.prod(abs((other - root).numerator) for other in roots if other != root)
-        scaled_numer, scaled_basis, inverse = [], [1], [1]  # A(Pz), B(Pz)/B(0), 1/that
-        power = 1  # P^t
-        for t in range(mult):
-            scaled_numer.append(numer._ints[t] * power if t < len(numer._ints) else 0)
-            if t:
-                if t < len(basis):
-                    scaled_basis.append(basis[t] * power // b0)
-                inverse.append(-sum(map(mul, scaled_basis[1:], reversed(inverse))))
-            # the y^t coefficient is (den_B / den_A) * w / (b0 * P^t) with
-            # w the z^t coefficient of A(Pz) / (B(Pz)/B(0))
-            w = sum(map(mul, scaled_numer, reversed(inverse)))
+    poly_part, parts = _decompose(f)
+    pole_terms = []
+    for root, scale, gap, ws in parts:
+        power = 1
+        for t, w in enumerate(ws):
             if w:
-                coeff = Fraction(w * shifted_den._den, numer._den * b0 * power)
-                pole_terms.append(PoleTerm(root, mult - t, coeff))
-            power *= p
+                pole_terms.append(PoleTerm(root, len(ws) - t, scale * Fraction(w, power)))
+            power *= gap
     return PartialFractionForm(poly_part, tuple(pole_terms))
 
 
 # -- the integral ---------------------------------------------------------------
+
+
+def _integral_value(
+    poly_part: Poly, parts: Iterable[PrincipalPart], log_terms: Callable[[Fraction], list]
+) -> LogCombination:
+    """The integral over [0, 1] of poly_part plus the principal parts,
+    none of whose roots lies in [0, 1].
+
+    log_terms(root) factors log((1 - root)/(-root)); it is asked only for
+    roots with a simple pole.  The rationals are summed in integers: the
+    polynomial part over lcm(1..d+1), and the poles of order k >= 2 at a
+    root r through G(z) = sum c_k/(k-1) z^(k-1): their integral is
+    G(-1/r) - G(1/(1-r)).
+    """
+    ints = poly_part._ints
+    lcm = math.lcm(*range(1, len(ints) + 1))
+    num, den = sum(c * (lcm // (i + 1)) for i, c in enumerate(ints)), poly_part._den * lcm
+    terms: list[tuple[int, Fraction]] = []
+    for root, scale, gap, ws in parts:
+        order = len(ws)
+        if ws[-1]:
+            simple = Fraction(scale.numerator * ws[-1], scale.denominator * gap ** (order - 1))
+            terms.extend((p, simple * e) for p, e in log_terms(root))
+        if order > 1:
+            # c_k/(k-1) z^(k-1) = scale * ws[t] gap^(j-1) (lcm/j) z^j / (gap^(order-2) lcm)
+            # with j = k - 1 = order - 1 - t
+            lcm = math.lcm(*range(1, order))
+            g, power = [0], 1
+            for j in range(1, order):
+                g.append(ws[order - 1 - j] * power * (lcm // j))
+                power *= gap
+            g = Poly._reduce(g, 1)
+            u, v = root.numerator, root.denominator
+            acc1, s1 = g._horner(-v, u)  # G(-1/r) = acc1 / s1
+            acc2, s2 = g._horner(v, v - u)  # G(1/(1-r)) = acc2 / s2
+            part_num = scale.numerator * (acc1 * s2 - acc2 * s1)
+            part_den = scale.denominator * (power // gap) * lcm * s1 * s2
+            num, den = num * part_den + part_num * den, den * part_den
+    return LogCombination(Fraction(num, den), terms)
 
 
 def integrate_01(f: RatFunc) -> LogCombination:
@@ -403,9 +488,8 @@ def integrate_01(f: RatFunc) -> LogCombination:
     if f.is_zero():
         return LogCombination.zero()
     try:
-        decomposition = partial_fractions(f)
-        # f is in lowest terms, so every root of f.den has a pole term
-        divergent = any(0 <= term.root <= 1 for term in decomposition.pole_terms)
+        poly_part, parts = _decompose(f)
+        divergent = any(0 <= part.root <= 1 for part in parts)
     except (NonRationalRootError, FactorBoundExceededError):
         # a pole in [0, 1] is reported first, even one the root search missed
         if not has_root_in_unit_interval(f.den):
@@ -415,15 +499,4 @@ def integrate_01(f: RatFunc) -> LogCombination:
         raise DivergentIntegralError(
             f"integrand has a pole in [0, 1]: denominator {f.den}"
         )
-    constant = Fraction(0)
-    for i, c in enumerate(decomposition.polynomial_part.coeffs):
-        constant += c / (i + 1)
-    terms: list[tuple[int, Fraction]] = []
-    for root, mult, coeff in decomposition.pole_terms:
-        if mult == 1:
-            ratio = (1 - root) / (-root)
-            terms.extend((p, coeff * e) for p, e in _log_terms(ratio))
-        else:
-            e = 1 - mult
-            constant += coeff * ((1 - root) ** e - (-root) ** e) / e
-    return LogCombination(constant, terms)
+    return _integral_value(poly_part, parts, lambda root: _log_terms((1 - root) / -root))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Union
 
 Scalar = Union[Fraction, int]
@@ -42,18 +42,16 @@ def _to_fraction(value) -> Fraction:
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    """Coefficients of the product of two nonzero integer polynomials."""
+    """Coefficients of the product of two nonzero integer polynomials:
+    one shifted multiply-add of the longer operand per coefficient of the
+    shorter, each running in C through map."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) == 1:
-        factor = b[0]
-        return [c * factor for c in a]
     la, lb = len(a), len(b)
-    rb = b[::-1]
-    out = []
-    for k in range(la + lb - 1):
-        lo, hi = max(0, k - lb + 1), min(k + 1, la)
-        out.append(sum(map(mul, a[lo:hi], rb[lb - 1 - k + lo : lb - 1 - k + hi])))
+    out = [c * b[0] for c in a]
+    out += [0] * (lb - 1)
+    for j in range(1, lb):
+        out[j : j + la] = map(add, out[j : j + la], map(mul, a, itertools.repeat(b[j])))
     return out
 
 
@@ -304,14 +302,20 @@ class Poly:
         else:
             point = _to_fraction(point)
             u, v = point.numerator, point.denominator
+        acc, scale = self._horner(u, v)
+        return Fraction(acc, self._den * scale)
+
+    def _horner(self, u: int, v: int) -> tuple[int, int]:
+        """(sum c_i u^i v^(n-i), v^n) for the stored integers c_i, so that
+        self(u/v) is the first over the second times the denominator."""
         ints = self._ints
         if not ints:
-            return Fraction(0)
+            return 0, 1
         acc, scale = ints[-1], 1  # scale is v^(n - i) at coefficient i
         for c in reversed(ints[:-1]):
             scale *= v
             acc = acc * u + c * scale
-        return Fraction(acc, self._den * scale)
+        return acc, scale
 
     def shift(self, offset: Scalar) -> "Poly":
         """Taylor shift t -> self(t + offset), in integers (module docstring)."""

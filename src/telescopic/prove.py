@@ -44,7 +44,7 @@ from .families import (
     make_left_family,
     make_right_family,
 )
-from .integration import LogCombination, integrate_01, rational_roots
+from .integration import LogCombination, rational_roots
 from .polynomials import Poly
 from .ratfuncs import RatFunc
 from .telescoping import (
@@ -152,9 +152,9 @@ def _check_sequence(
     """Run every check of the proof, in order, on one recurrence and its
     two certificates; the first failing check names the verdict.
 
-    `left` and `right` are the families of `params`.  Each n is
-    integrated once: the base cases are the first `rec.order` values and
-    the direct comparisons the first `extra_n + 1`.
+    `left` and `right` are the families of `params`.  Each family is
+    integrated in one pass, each n once: the base cases are the first
+    `rec.order` values and the direct comparisons the first `extra_n + 1`.
     """
     values: list[tuple[int, LogCombination, LogCombination]] = []
 
@@ -192,9 +192,8 @@ def _check_sequence(
 
         # 4. exact structural equality: base cases, then direct comparison
         # at extra n as defense in depth
-        for n in range(max(rec.order, extra_n + 1)):
-            l_val = integrate_01(left.at(n))
-            r_val = integrate_01(right.at(n))
+        count = max(rec.order, extra_n + 1)
+        for n, l_val, r_val in zip(range(count), left.integrals(), right.integrals()):
             values.append((n, l_val, r_val))
             if l_val != r_val:
                 if n < rec.order:

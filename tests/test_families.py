@@ -1,6 +1,8 @@
 """Parameter validation and the structural invariants of integrand
-families F(n, x) = x^n (1-x)^n / den(x)^(n+1) = c(x) * r(x)^n."""
+families F(n, x) = x^n (1-x)^n / den(x)^(n+1) = c(x) * r(x)^n, and their
+one-pass exact integrals."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,9 +11,12 @@ import pytest
 from conftest import random_params
 from telescopic import (
     IntegrandFamily,
+    LogCombination,
+    NonRationalRootError,
     ParameterPair,
     Poly,
     RatFunc,
+    integrate_01,
     make_left_family,
     make_right_family,
 )
@@ -96,3 +101,38 @@ def test_construction_rejects_pole_at_endpoint():
 def test_construction_rejects_zero_members():
     with pytest.raises(ValueError, match="root in"):
         IntegrandFamily(Poly.zero())
+
+
+# -- the one-pass integrals ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (Fraction(13, 4), Fraction(11, 5)),  # a steady pair: a, b in (2, 4)
+        (Fraction(301006, 46141), Fraction(729379, 805120)),
+    ],
+)
+def test_integrals_match_integrate_01_at_n_30(a, b):
+    params = ParameterPair(a, b)
+    for fam in (make_left_family(params), make_right_family(params)):
+        values = list(itertools.islice(fam.integrals(), 31))
+        for n in (0, 1, 2, 30):
+            assert values[n] == integrate_01(fam.at(n))
+
+
+def test_integrals_with_a_repeated_root():
+    fam = IntegrandFamily(Poly([4, 4, 1]))  # (x + 2)^2
+    values = list(itertools.islice(fam.integrals(), 9))
+    assert values[0] == LogCombination(Fraction(1, 6))  # 1/2 - 1/3
+    assert values == [integrate_01(fam.at(n)) for n in range(9)]
+
+
+def test_integrals_need_a_denominator_that_splits():
+    fam = IntegrandFamily(Poly([1, 1, 1]))  # x^2 + x + 1
+    with pytest.raises(NonRationalRootError) as direct:
+        integrate_01(fam.at(0))
+    with pytest.raises(NonRationalRootError) as one_pass:
+        next(fam.integrals())
+    assert str(one_pass.value) == str(direct.value)
+    assert "has no rational root" in str(one_pass.value)

@@ -1,5 +1,6 @@
 """Property tests of Poly and RatFunc, with sympy as the oracle for the
-Taylor shift and the gcd.  Both libraries are test-only; the module is
+Taylor shift and the gcd, and of the one-pass family integrals, with
+integrate_01 as the oracle.  Both libraries are test-only; the module is
 skipped where either is missing."""
 
 import math
@@ -13,7 +14,15 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from telescopic import Poly, RatFunc, poly_gcd  # noqa: E402
+from telescopic import (  # noqa: E402
+    ParameterPair,
+    Poly,
+    RatFunc,
+    integrate_01,
+    make_left_family,
+    make_right_family,
+    poly_gcd,
+)
 
 # derandomized and without an example database, so every run checks the
 # same examples and writes nothing to disk
@@ -102,3 +111,16 @@ def test_ratfunc_field_laws_and_canonical_form(f, g, h):
         assert value.den.leading_coefficient() == 1
         assert poly_gcd(value.num, value.den) == Poly.one() or value.num.is_zero()
         assert RatFunc(value.num * 3, value.den * 3) == value
+
+
+heights = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
+
+
+@settings(exact, max_examples=25)
+@given(heights, heights)
+def test_family_integrals_match_integrate_01(x, y):
+    assume(x != y)
+    params = ParameterPair(max(x, y), min(x, y))
+    for fam in (make_left_family(params), make_right_family(params)):
+        for n, value in zip(range(13), fam.integrals()):
+            assert value == integrate_01(fam.at(n))

@@ -10,6 +10,7 @@ import pytest
 from conftest import random_params
 from telescopic import (
     Certificate,
+    IntegrandFamily,
     LogCombination,
     ParameterPair,
     Poly,
@@ -252,20 +253,36 @@ def test_reverify_rejects_relabelled_params():
 
 
 def test_each_n_is_integrated_once(monkeypatch):
-    import telescopic.prove as prove_module
+    # each family is integrated in one pass, n = 0..extra_n, and the logs
+    # of its poles are factored once per proof, not once per n
+    import telescopic.integration as integration_module
 
-    seen = []
+    yielded = []
+    integrals = IntegrandFamily.integrals
 
-    def counting(f):
-        seen.append(f)
-        return integrate_01(f)
+    def counting_integrals(fam):
+        for n, value in enumerate(integrals(fam)):
+            yielded.append((fam.den, n))
+            yield value
 
-    monkeypatch.setattr(prove_module, "integrate_01", counting)
-    proof = prove_identity(ParameterPair(2, 1), extra_n=5)
+    factored = []
+    factorize = integration_module.factorize
+
+    def counting_factorize(value, *args):
+        factored.append(value)
+        return factorize(value, *args)
+
+    monkeypatch.setattr(IntegrandFamily, "integrals", counting_integrals)
+    monkeypatch.setattr(integration_module, "factorize", counting_factorize)
+    params = ParameterPair(2, 1)
+    proof = prove_identity(params, extra_n=5)
     assert proof.proved
     assert [n for n, _, _ in proof.base_cases] == [0, 1]
     assert [n for n, _, _ in proof.extra_checks] == list(range(6))
-    assert len(seen) == 2 * 6  # both families, n = 0..5
+    left, right = make_left_family(params).den, make_right_family(params).den
+    assert yielded == [(den, n) for n in range(6) for den in (left, right)]
+    # numerator and denominator of 2, 3/2 (left) and 4/3 (right)
+    assert len(factored) == 6
 
 
 def test_each_discovered_pair_is_verified_once(monkeypatch):
