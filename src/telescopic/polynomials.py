@@ -19,7 +19,8 @@ end.  The Taylor shift by u/v uses  v^n f(x + u/v) = g(vx + u)  for the
 integer polynomial  g(y) = sum c_i v^(n-i) y^i  (von zur Gathen and
 Gerhard, 1997): g is shifted by the integer u with Horner steps, and
 coefficient i is scaled by v^i over the denominator d v^n.  The monic
-GCD is a primitive pseudo-remainder sequence on the stored integers.
+GCD is Euclid on the remainders of the pseudo-division above, each
+made primitive, so the module has one pseudo-division.
 """
 
 from __future__ import annotations
@@ -396,53 +397,27 @@ _ONE = Poly._of((1,), 1)
 # -- gcd machinery ---------------------------------------------------------
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder of integer coefficient lists, ascending degree
-    a = a[:]
-    db = len(b) - 1
-    lead_b = b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        shift = len(a) - 1 - db
-        lead_a = a[-1]
-        a = [c * lead_b for c in a]
-        for i, c in enumerate(b):
-            a[shift + i] -= lead_a * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _int_primitive(a: list[int]) -> list[int]:
     g = math.gcd(*a)
     return [v // g for v in a] if g > 1 else a
 
 
+def _primitive(p: Poly) -> Poly:
+    """The integer polynomial p / content(p); zero stays zero."""
+    return Poly._of(tuple(_int_primitive(list(p._ints))), 1)
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor via a primitive pseudo-remainder
-    sequence on the stored integers (controls coefficient growth).
+    """Monic greatest common divisor: Euclid on Poly remainders, each
+    made primitive (controls coefficient growth).
 
     gcd(p, 0) = monic(p); gcd(0, 0) is an error.
     """
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    a, b = _int_primitive(list(p._ints)), _int_primitive(list(q._ints))
-    if len(a) < len(b):
-        a, b = b, a
-    while True:
-        r = _int_prem(a, b)
-        if not r:
-            break
-        a, b = b, _int_primitive(r)
-    return Poly._reduce(b, b[-1])
+    while q:
+        p, q = q, _primitive(p % q)
+    return p.monic()
 
 
 def sturm_root_count(p: Poly, lo: Scalar, hi: Scalar) -> int:

@@ -22,12 +22,21 @@ The proof assembled here mirrors the classical telescoping argument:
    equalities; induction closes the identity for every n.
 
 A second, independent proof is the change of variables
-x = b(1-u)/(b+u): two n-free identities show it maps one integrand
-family onto the other exactly for every n.  It runs after direct
-left/right integration at extra n values, as defense in depth.  Every
-sub-step failure is converted into a failed verdict naming the step;
-there is no silent pass.  `prove_identity` and `reverify_proof` run
-the one check sequence in `_check_sequence`.
+x = s(u) = N/D = b(1-u)/(b+u): as F_i = c_i r_i^n, it maps one family
+onto the other for every n iff r1(s) = r2 and c1(s) (-s') = c2.  With
+w = x(1-x) and Q1^h = D^2 Q1(N/D) (Q1 has degree 2), these are checked
+cleared, times Q2 Q1^h:
+
+    N (D - N) Q2  =  w Q1^h        and       -(N'D - ND') Q2  =  Q1^h.
+
+Q2 is nonzero, so wherever Q1^h is too, each cleared identity holds
+exactly when the rational one does.  Q1^h is zero only for a constant
+map onto a root of Q1, outside [0, 1]; there the rational identities
+are undefined and the first cleared one fails, as N (D - N) != 0.  The
+check runs after direct integration at extra n, as defense in depth.
+Every sub-step failure is converted into a failed verdict naming the
+step; there is no silent pass.  `prove_identity` and `reverify_proof`
+run the one check sequence in `_check_sequence`.
 
 `ProofObject` fields are independent: the integrand families follow from
 the parameters and the verdict from the failure reason, so neither is stored.
@@ -48,6 +57,7 @@ from .integration import LogCombination, rational_roots
 from .polynomials import Poly
 from .ratfuncs import RatFunc
 from .telescoping import (
+    _W,
     Certificate,
     Recurrence,
     closed_form_certificates,
@@ -111,20 +121,21 @@ def verify_substitution_proof(
 
         F1(n, x(u)) * (-dx/du)  =  F2(n, u)   with x(u) = b(1-u)/(b+u).
 
-    As F = c * r^n, it holds for every n iff r1(x(u)) = r2(u) and
-    c1(x(u)) * (-dx/du) = c2(u); both are checked exactly.  The sign
-    accounts for the orientation reversal (x(0)=1, x(1)=0).  Passing a
-    different `substitution` map serves as a negative control.
+    Both n-free identities are checked cleared (module docstring).  The
+    sign accounts for the orientation reversal (x(0)=1, x(1)=0).  Passing
+    a different `substitution` map serves as a negative control; a map
+    onto a pole of the left family fails.
     """
     if substitution is None:
         b = params.b
-        substitution = RatFunc(Poly([b, -b]), Poly([b, 1]))
-    left = make_left_family(params)
-    right = make_right_family(params)
-    return left.ratio.compose(substitution) == right.ratio and (
-        left.cofactor.compose(substitution) * (-substitution.derivative())
-        == right.cofactor
-    )
+        num, den = Poly([b, -b]), Poly([b, 1])
+    else:
+        num, den = substitution.num, substitution.den
+    q1, q2 = make_left_family(params).den, make_right_family(params).den
+    # Q1^h = D^2 Q1(N/D), as Q1 = (x+a)(x+b) has degree 2
+    q1h = sum((c * num**i * den ** (2 - i) for i, c in enumerate(q1)), Poly.zero())
+    minus_jacobian = num * den.derivative() - num.derivative() * den  # -D^2 s'
+    return num * (den - num) * q2 == _W * q1h and minus_jacobian * q2 == q1h
 
 
 def _leading_coefficient_degeneracy(rec: Recurrence) -> str | None:

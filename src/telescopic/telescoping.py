@@ -10,10 +10,19 @@ functions of x whose dependence on n is polynomial:
 
     sum_k  c_k(n) * r(x)^k  =  R'(n, x) + R(n, x) * (c'/c + n * r'/r)
 
-Both sides are polynomials in n, so verification compares them power by
-power: the coefficient of each n^e is an identity of rational functions
-of x alone, checked exactly, and together they prove the identity for
-every n without sampling any n.
+Both sides are polynomials in n, so verification compares them power
+by power.  With F = w^n / Q^(n+1), w = x(1-x), Q = fam.den, order rho
+and R = sum_t n^t P_t / D_t, the coefficient of n^e is an identity in
+x alone, sum_k [n^e]c_k r^k = R_e' - R_e Q'/Q + R_{e-1} (w'Q - wQ')/(wQ).
+It is checked cleared: times w Q^rho D_e^2 D_{e-1} it reads, in Q[x],
+
+    D_e^2 D_{e-1} sum_k [n^e]c_k w^(k+1) Q^(rho-k)
+      =  Q^(rho-1) (w D_{e-1} (Q (P_e' D_e - P_e D_e') - Q' P_e D_e)
+                    + D_e^2 P_{e-1} (w'Q - wQ')).
+
+The multiplier is nonzero, as w, Q and every D_e are, so the cleared
+identity holds exactly when the rational one does.  Together these
+identities prove the relation for every n, with no n sampled and no gcd.
 
 Discovery follows the differentiating-under-the-integral-sign ansatz:
 R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Its columns
@@ -39,6 +48,7 @@ from .polynomials import Poly, _int_primitive
 from .ratfuncs import RatFunc
 
 _X_TIMES_X_MINUS_1 = Poly([0, -1, 1])  # x(x-1), the forced certificate factor
+_W = Poly([0, 1, -1])  # w = x(1-x), so F = w^n / Q^(n+1)
 
 
 @dataclass(frozen=True)
@@ -135,29 +145,28 @@ def normalize_pair(
 
 
 def verify_telescoping(fam: IntegrandFamily, rec: Recurrence, cert: Certificate) -> bool:
-    """Exact check of the divided telescoping identity for every n.
-
-    With c_k(n) = sum_e [n^e]c_k * n^e and R = sum_t n^t * R_t, the
-    coefficient of n^e on each side gives one identity in x alone:
-
-        sum_k [n^e]c_k * r^k  =  R_e' + R_e * c'/c + R_{e-1} * r'/r
-
-    for e = 0 .. max(deg_n rec, len(parts)); together they are the
-    identity at every n.  Returns False on any mismatch; never raises
-    for well-formed inputs.
+    """Exact check of the divided telescoping identity for every n: one
+    cleared identity in x per power n^e, e = 0 .. max(deg_n rec,
+    len(parts)) (module docstring).  Returns False on any mismatch;
+    never raises for well-formed inputs.
     """
-    c_logd = fam.cofactor.derivative() / fam.cofactor
-    r_logd = fam.ratio.derivative() / fam.ratio
-    powers = [fam.ratio**k for k in range(rec.order + 1)]
-    previous = RatFunc.zero()  # R_{e-1}
-    for e in range(max(rec.degree_in_n(), len(cert.parts)) + 1):
-        part = cert.parts[e] if e < len(cert.parts) else RatFunc.zero()
-        lhs = RatFunc.zero()
-        for coeff, power in zip(rec.coeffs, powers):
-            lhs = lhs + coeff[e] * power
-        if lhs != part.derivative() + part * c_logd + previous * r_logd:
+    q = fam.den
+    dq = q.derivative()
+    rho = rec.order
+    terms = [_W ** (k + 1) * q ** (rho - k) for k in range(rho + 1)]  # w r^k Q^rho
+    q_rest = q ** (rho - 1)
+    w_logd = _W.derivative() * q - _W * dq  # w Q r'/r
+    parts = [(part.num, part.den) for part in cert.parts]
+    p_prev, d_prev = Poly.zero(), Poly.one()  # R_{e-1} = P_{e-1} / D_{e-1}
+    for e in range(max(rec.degree_in_n(), len(parts)) + 1):
+        p, d = parts[e] if e < len(parts) else (Poly.zero(), Poly.one())
+        d2 = d * d
+        lhs = d2 * d_prev * sum((c[e] * t for c, t in zip(rec.coeffs, terms)), Poly.zero())
+        rhs = _W * d_prev * (q * (p.derivative() * d - p * d.derivative()) - dq * p * d)
+        rhs += d2 * p_prev * w_logd
+        if lhs != q_rest * rhs:
             return False
-        previous = part
+        p_prev, d_prev = p, d
     return True
 
 

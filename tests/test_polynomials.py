@@ -183,6 +183,15 @@ def test_gcd_canonical_monic_randomized():
         assert d.leading_coefficient() == 1
 
 
+def test_gcd_at_the_size_of_a_crosscheck_member():
+    # integrate_01 and quad_01 take gcd(den^31, (den^31)') at n = 30; the
+    # left den of the steady pair (13/4, 11/5) is squarefree, so it is den^30
+    den = Poly([Fraction(143, 20), Fraction(109, 20), 1])  # (x + 13/4)(x + 11/5)
+    power = den**31
+    assert poly_gcd(power, power.derivative()) == den**30
+    assert poly_gcd(3 * power.derivative(), -power) == den**30
+
+
 def test_gcd_edge_cases():
     p = Poly([2, 4, 2])
     assert poly_gcd(p, Poly.zero()) == p.monic()

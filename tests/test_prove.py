@@ -31,6 +31,7 @@ from telescopic import (
     prove_identity,
     reverify_proof,
     verify_substitution_proof,
+    verify_telescoping,
 )
 
 
@@ -147,6 +148,8 @@ def test_substitution_proof_rejects_wrong_map():
     b = params.b
     wrong = RatFunc(Poly([b, b]), Poly([b, 1]))  # numerator b(1+u)
     assert not verify_substitution_proof(params, substitution=wrong)
+    # x(u) = -2 lands on a pole of 1/((x+2)(x+1)) for every u
+    assert not verify_substitution_proof(params, substitution=RatFunc(Poly([-2])))
 
 
 def test_substitution_proof_needs_the_ratios_to_match_too():
@@ -159,6 +162,30 @@ def test_substitution_proof_needs_the_ratios_to_match_too():
         assert not verify_substitution_proof(params, substitution=cofactor_only)
         assert _substitutes_at(params, cofactor_only, 0)
         assert not _substitutes_at(params, cofactor_only, 1)
+
+
+def test_the_verifiers_compute_no_normal_form(monkeypatch):
+    # both verifiers compare cleared polynomial identities, so no RatFunc
+    # runs its gcd; the one allowed is for building the default map
+    import telescopic.ratfuncs as ratfuncs_module
+
+    params = ParameterPair(2, 1)
+    rec = closed_form_recurrence(params)
+    families = (make_left_family(params), make_right_family(params))
+    certs = closed_form_certificates(params)
+    calls = []
+    original = ratfuncs_module.poly_gcd
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(ratfuncs_module, "poly_gcd", counted)
+    for fam, cert in zip(families, certs):
+        assert verify_telescoping(fam, rec, cert)
+    assert len(calls) == 0
+    assert verify_substitution_proof(params)
+    assert len(calls) <= 1
 
 
 # -- the full pipeline ----------------------------------------------------------------
