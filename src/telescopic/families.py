@@ -10,7 +10,7 @@ A family is its denominator Q.  Read as F(n, x) = c(x) * r(x)^n it has
 cofactor c = 1/Q and ratio r = x(1-x)/Q, so r vanishes at both
 endpoints (certificate boundary terms vanish) by construction.  The one
 property checked at construction is that Q has no root in [0, 1] (the
-integrals converge).
+integrals converge), so c, r and each F(n, x) are in lowest terms as built.
 
 IntegrandFamily.integrals yields the exact integrals I(0), I(1), ... in
 one pass: the roots of Q and their factored logs are found once per
@@ -70,20 +70,22 @@ class IntegrandFamily:
                 "the integrals would diverge"
             )
 
+    # den(0) den(1) != 0, so den shares no factor with 1 or x(1-x): made
+    # monic, it is the denominator of both parts, with no gcd
     @cached_property
     def cofactor(self) -> RatFunc:  # c = 1/den
-        return RatFunc(Poly.one(), self.den)
+        lead = self.den.leading_coefficient()
+        return RatFunc._reduced(Poly.constant(1 / lead), self.den.monic())
 
     @cached_property
     def ratio(self) -> RatFunc:  # r = x(1-x)/den
-        return RatFunc(Poly([0, 1, -1]), self.den)
+        return RatFunc._reduced(Poly([0, 1, -1]) * self.cofactor.num, self.cofactor.den)
 
     def at(self, n: int) -> RatFunc:
         """The concrete integrand F(n, x) = c(x) * r(x)^n for one n."""
         if n < 0:
             raise ValueError("n must be nonnegative")
-        # den(0), den(1) != 0, so den shares no factor with x(1-x), and a power
-        # of the monic cofactor.den is monic: already in lowest terms, no gcd.
+        # coprime as the parts are, and a power of the monic den is monic: no gcd
         c, r = self.cofactor, self.ratio
         return RatFunc._reduced(r.num**n * c.num, c.den ** (n + 1))
 

@@ -20,7 +20,10 @@ integer polynomial  g(y) = sum c_i v^(n-i) y^i  (von zur Gathen and
 Gerhard, 1997): g is shifted by the integer u with Horner steps, and
 coefficient i is scaled by v^i over the denominator d v^n.  The monic
 GCD is Euclid on the remainders of the pseudo-division above, each
-made primitive, so the module has one pseudo-division.
+made primitive, so the module has one pseudo-division.  Roots in [0, 1]
+are counted by a Sturm chain unless signs exclude them: if p(0) != 0 and
+no two nonzero coefficients differ in sign, |p(x)| >= |p(0)| on [0, inf),
+as for the paper's denominators and their powers when a > b > 0.
 """
 
 from __future__ import annotations
@@ -446,6 +449,8 @@ def sturm_root_count(p: Poly, lo: Scalar, hi: Scalar) -> int:
 
 
 def has_root_in_unit_interval(p: Poly) -> bool:
-    """Whether p has a real root in the closed interval [0, 1]."""
-    # Sturm counts roots in (0, 1]; x = 0 is checked separately.
-    return p(0) == 0 or sturm_root_count(p, 0, 1) > 0
+    """Whether p has a real root in [0, 1]: by signs, else by Sturm (module docstring)."""
+    ints = p._ints
+    if not ints or ints[0] == 0:
+        return True
+    return min(ints) < 0 < max(ints) and sturm_root_count(p, 0, 1) > 0

@@ -17,13 +17,16 @@ status are derived from the other entries, and every number has one
 spelling.  `proof_from_obj` reads only the independent entries and
 refuses a record that their re-encoding does not reproduce (key order
 and `tool_version` aside), so no edited derived entry and no
-non-canonical number passes.
+non-canonical number passes.  `proof_to_json` writes the text of
+`json.dumps(proof_to_obj(p), indent=2)` in one recursive pass: the
+stdlib's indenting encoder is pure Python, and took a third of the time.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
@@ -35,7 +38,6 @@ from .telescoping import Certificate, Recurrence
 
 
 def rational_to_str(value: Fraction) -> str:
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -161,8 +163,31 @@ def proof_to_obj(proof: ProofObject) -> dict:
     }
 
 
+def _to_json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2) for a value nested `indent` deep, with
+    str keys and dict, list, str, int, bool and None values."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}" for k, v in value.items()]
+        start, end = "{}"
+    elif isinstance(value, list):
+        items = [_to_json(v, inner) for v in value]
+        start, end = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not a proof-record type")
+    if not items:
+        return start + end
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
+
+
 def proof_to_json(proof: ProofObject) -> str:
-    return json.dumps(proof_to_obj(proof), indent=2) + "\n"
+    return _to_json(proof_to_obj(proof)) + "\n"
 
 
 def _canonical(obj: dict) -> str:

@@ -30,9 +30,11 @@ are linear in n, built once per family as polynomials A + n * B, so
 each trial order and numerator degree asks for the polynomial kernel of
 a matrix pencil.  That kernel is exact linear algebra over Q: one block
 system per degree in n of the solution, tried in increasing degree, with
-no numeric n sampled and no interpolation.  The block system holds the
-divided identity coefficient by coefficient, so a discovered pair
-satisfies it by construction and is not verified again here.
+no numeric n sampled and no interpolation, and no Fraction per entry:
+the rows are the columns' Poly integers over one common denominator.
+The block system holds the divided identity coefficient by coefficient,
+so a discovered pair satisfies it by construction and is not verified
+again here.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import AnsatzExhaustedError
@@ -119,7 +122,9 @@ class Certificate:
         return max(deg, 0)
 
     def scaled(self, factor: Fraction) -> "Certificate":
-        return Certificate(tuple(factor * p for p in self.parts))
+        # a nonzero constant keeps a canonical num/den canonical; 0 gives 0/1
+        parts = [RatFunc._reduced(p.num * factor, p.den if factor else Poly.one()) for p in self.parts]
+        return Certificate(tuple(parts))
 
     def satisfies_boundary_invariant(self) -> bool:
         """Each part finite and zero at x=0 and x=1, which makes
@@ -193,14 +198,17 @@ def closed_form_certificates(params: ParameterPair) -> tuple[Certificate, Certif
     R1 = x(x-1) ((a+b+1)x^2 + 2abx - ab) / ((x+a)(x+b))
     R2 = x(x-1) ((a-b)x^2 + 2b(a+1)x - (a+1)b) / ((a-b)x + (a+1)b)
     """
+    # In lowest terms, so built with no gcd: for a > b > 0 the denominators'
+    # roots are simple and negative, x(x-1) != 0 there, and so is the quadratic:
+    # a(a-b)(a+1) at -a, b(b-a)(b+1) at -b, -k(k/(a-b)+1) at -k/(a-b), k = (a+1)b
     a, b = params.a, params.b
-    r1 = RatFunc(
+    r1 = RatFunc._reduced(
         _X_TIMES_X_MINUS_1 * Poly([-a * b, 2 * a * b, a + b + 1]),
         Poly([a * b, a + b, 1]),
     )
-    r2 = RatFunc(
-        _X_TIMES_X_MINUS_1 * Poly([-(a + 1) * b, 2 * b * (a + 1), a - b]),
-        Poly([(a + 1) * b, a - b]),
+    r2 = RatFunc._reduced(
+        _X_TIMES_X_MINUS_1 * Poly([-(a + 1) * b / (a - b), 2 * b * (a + 1) / (a - b), 1]),
+        Poly([(a + 1) * b / (a - b), 1]),
     )
     return Certificate((r1,)), Certificate((r2,))
 
@@ -208,19 +216,22 @@ def closed_form_certificates(params: ParameterPair) -> tuple[Certificate, Certif
 # -- exact nullspace ----------------------------------------------------------
 
 
-def _int_coeffs(row: Sequence[Fraction]) -> list[int]:
+def _int_coeffs(row: Sequence[Fraction | int]) -> list[int]:
     """The primitive integer vector proportional to row, signs kept."""
-    scale = math.lcm(*(c.denominator for c in row))
-    return _int_primitive([c.numerator * (scale // c.denominator) for c in row])
+    if {*map(type, row)} != {int}:
+        scale = math.lcm(*(c.denominator for c in row))
+        row = [c.numerator * (scale // c.denominator) for c in row]
+    return _int_primitive(list(row))
 
 
 def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right nullspace via fraction-free elimination.
 
-    Rows are cleared to primitive integer vectors and eliminated by
-    cross-multiplication, so all intermediate arithmetic stays in Z.
-    Basis vectors are canonical: primitive integer entries with positive
-    first nonzero coordinate, one per free column.
+    Rows of Fractions or ints are cleared to primitive integer vectors,
+    eliminated by cross-multiplication and back-substituted in integers,
+    so all intermediate arithmetic stays in Z.  Basis vectors are
+    canonical: primitive integer entries with positive first nonzero
+    coordinate, one per free column.
     """
     if not matrix:
         return []
@@ -229,7 +240,7 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
         raise ValueError("matrix rows must have equal length")
     if ncols == 0:
         return []
-    work = [_int_coeffs(row) for row in matrix if any(c != 0 for c in row)]
+    work = [_int_coeffs(row) for row in matrix if any(row)]
     pivots: list[tuple[int, int]] = []  # (row index in work, pivot column)
     rank = 0
     for col in range(ncols):
@@ -253,13 +264,17 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
     for free_col in range(ncols):
         if free_col in pivot_cols:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free_col] = Fraction(1)
+        vec = [0] * ncols
+        vec[free_col] = 1
         for row_idx, col in reversed(pivots):
+            # pivot * v[col] + acc = 0: scale by pivot / g, g = gcd(acc, pivot) signed
             row = work[row_idx]
-            acc = sum((row[j] * vec[j] for j in range(col + 1, ncols)), Fraction(0))
-            vec[col] = -acc / row[col]
-        ints = _int_coeffs(vec)
+            acc, pivot = sum(map(mul, row[col + 1 :], vec[col + 1 :])), row[col]
+            g = math.gcd(acc, pivot) if pivot > 0 else -math.gcd(acc, pivot)
+            if pivot != g:
+                vec = [v * (pivot // g) for v in vec]
+            vec[col] = -acc // g
+        ints = _int_primitive(vec)
         first = next(v for v in ints if v != 0)
         if first < 0:
             ints = [-v for v in ints]
@@ -319,25 +334,28 @@ def _polynomial_kernel(pencil: _Pencil) -> list[Poly] | None:
     """
     width = len(pencil)
     nrows = max(max(a.degree(), b.degree()) for a, b in pencil) + 1
+    # row e: the x^e coefficients of the A_i (B_i), as integers over one common den
+    den = math.lcm(*(p._den for column in pencil for p in column))
+    a_rows, b_rows = (
+        list(zip(*([c * (den // p._den) for c in p._ints] + [0] * (nrows - len(p)) for p in polys)))
+        for polys in zip(*pencil)
+    )
     # the rank at one n is at most the generic rank, so no kernel at n = 0
     # means no kernel at any n
-    if not solve_nullspace([[a[e] for a, _ in pencil] for e in range(nrows)]):
+    if not solve_nullspace(a_rows):
         return None
+    pad = (0,) * width
     for degree in range(width):
-        rows = []  # unknown v_{t,i} is column t * width + i
-        for s in range(degree + 2):
-            for e in range(nrows):
-                row = [Fraction(0)] * (width * (degree + 1))
-                for i, (a, b) in enumerate(pencil):
-                    if s <= degree:
-                        row[s * width + i] = a[e]
-                    if s > 0:
-                        row[(s - 1) * width + i] = b[e]
-                rows.append(row)
+        # unknown v_{t,i} is column t * width + i: the row of n^s x^e holds B[e]
+        # in block s - 1 and A[e] in block s, cut from one block wider each side
+        rows = [
+            (pad * s + b + a + pad * (degree + 1 - s))[width:-width]
+            for s in range(degree + 2)
+            for a, b in zip(a_rows, b_rows)
+        ]
         basis = solve_nullspace(rows)
         if basis:
-            vec = basis[0]
-            return [Poly(vec[i::width]) for i in range(width)]
+            return [Poly(basis[0][i::width]) for i in range(width)]
     return None
 
 

@@ -1,11 +1,13 @@
 """Shared helpers: seeded generators for rationals, polynomials, and
-rational functions.  Every randomized test builds its own
-random.Random(seed) so failures reproduce exactly.
+rational functions, and a call counter.  Every randomized test builds
+its own random.Random(seed) so failures reproduce exactly.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 from telescopic import ParameterPair, Poly, RatFunc
@@ -46,3 +48,22 @@ def random_ratfunc(rng: random.Random, max_degree: int = 3, bound: int = 9) -> R
         random_poly(rng, max_degree, bound),
         random_poly(rng, max_degree, bound, nonzero=True),
     )
+
+
+def count_calls(monkeypatch, *names: str) -> Counter:
+    """Calls of the named functions from here on, counted in every
+    telescopic module that binds them."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("telescopic")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls

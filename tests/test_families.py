@@ -86,6 +86,17 @@ def test_at_matches_the_gcd_reduced_quotient():
                 assert fam.at(n) == expected
 
 
+def test_cofactor_and_ratio_are_the_gcd_reduced_quotients():
+    # both are built without a gcd; the full constructor must agree
+    rng = random.Random(305)
+    for bound in (50, 10**6):
+        for _ in range(20):
+            params = random_params(rng, bound)
+            for fam in (make_left_family(params), make_right_family(params)):
+                assert fam.cofactor == RatFunc(Poly.one(), fam.den)
+                assert fam.ratio == RatFunc(Poly([0, 1, -1]), fam.den)
+
+
 def test_construction_rejects_pole_inside_domain():
     # denominator x - 1/2 vanishes inside [0, 1]
     with pytest.raises(ValueError, match="root in"):

@@ -2,8 +2,6 @@
 log-combinations, partial fractions, and the integral itself."""
 
 import random
-import sys
-from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -28,7 +26,7 @@ from telescopic import (
     partial_fractions,
     rational_roots,
 )
-from conftest import random_params, random_poly
+from conftest import count_calls, random_params, random_poly
 
 
 # -- factorization -------------------------------------------------------------
@@ -332,19 +330,7 @@ def test_integral_pole_inside_is_reported_before_a_non_rational_factor():
 
 def test_integral_finds_the_poles_with_one_gcd_and_no_sturm_chain(monkeypatch):
     f = make_left_family(ParameterPair(2, 1)).at(8)  # denominator of degree 18
-    calls = Counter()
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("telescopic")]:
-        for name in ("poly_gcd", "sturm_root_count"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    calls = count_calls(monkeypatch, "poly_gcd", "sturm_root_count")
     integrate_01(f)
     assert calls["poly_gcd"] == 1
     assert calls["sturm_root_count"] == 0

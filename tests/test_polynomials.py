@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_poly
+from conftest import count_calls, random_poly
 from telescopic import Poly, poly_gcd, sturm_root_count
+from telescopic.polynomials import has_root_in_unit_interval
 
 
 def test_construction_normalizes_trailing_zeros():
@@ -225,6 +226,24 @@ def test_sturm_random_linear_products():
         assert sturm_root_count(p, lo, hi) == len(set(roots))
         inside = len({r for r in roots if 0 < r <= 1})
         assert sturm_root_count(p, 0, 1) == inside
+
+
+@pytest.mark.parametrize(
+    "coefficients, has_root, chains",
+    [
+        ([], True, 0),  # the zero polynomial vanishes everywhere
+        ([0, 1, 1], True, 0),  # x (x + 1) vanishes at 0
+        ([-1, 0, -1], False, 0),  # -x^2 - 1: signs alike, so no chain
+        ([1, 0, 0, 1], False, 0),  # x^3 + 1
+        ([1, -3, 1], True, 1),  # x^2 - 3x + 1, root (3 - sqrt 5)/2: mixed signs
+        ([2, -3, 1], True, 1),  # (x - 1)(x - 2), root at the endpoint 1
+        ([6, -5, 1], False, 1),  # (x - 2)(x - 3): mixed signs, roots outside
+    ],
+)
+def test_root_exclusion_by_signs_and_by_the_chain(monkeypatch, coefficients, has_root, chains):
+    calls = count_calls(monkeypatch, "sturm_root_count")
+    assert has_root_in_unit_interval(Poly(coefficients)) is has_root
+    assert calls["sturm_root_count"] == chains
 
 
 def test_to_str_readable():

@@ -1,8 +1,11 @@
 """Property tests of Poly and RatFunc, with sympy as the oracle for the
-Taylor shift and the gcd, and of the one-pass family integrals, with
-integrate_01 as the oracle.  Both libraries are test-only; the module is
-skipped where either is missing."""
+Taylor shift and the gcd, of the one-pass family integrals, with
+integrate_01 as the oracle, of root exclusion, with the Sturm chain as
+the oracle, and of the proof writer, with json.dumps as the oracle.
+Both libraries are test-only; the module is skipped where either is
+missing."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -11,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from telescopic import (  # noqa: E402
@@ -22,7 +25,10 @@ from telescopic import (  # noqa: E402
     make_left_family,
     make_right_family,
     poly_gcd,
+    sturm_root_count,
 )
+from telescopic.polynomials import has_root_in_unit_interval  # noqa: E402
+from telescopic.serialize import _to_json  # noqa: E402
 
 # derandomized and without an example database, so every run checks the
 # same examples and writes nothing to disk
@@ -124,3 +130,30 @@ def test_family_integrals_match_integrate_01(x, y):
     for fam in (make_left_family(params), make_right_family(params)):
         for n, value in zip(range(13), fam.integrals()):
             assert value == integrate_01(fam.at(n))
+
+
+@exact
+@given(st.lists(st.integers(-50, 50), max_size=8), st.booleans())
+def test_root_exclusion_matches_the_sturm_chain(coefficients, sign_uniform):
+    if sign_uniform:  # half the draws take the path that skips the chain
+        sign = -1 if coefficients and coefficients[0] < 0 else 1
+        coefficients = [sign * abs(c) for c in coefficients]
+    p = Poly(coefficients)
+    reference = p(0) == 0 or sturm_root_count(p, 0, 1) > 0
+    assert has_root_in_unit_interval(p) is reference
+
+
+# quotes, backslashes, control, non-ASCII and non-BMP characters, and any other
+json_strings = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fa\xe9\u2028\u4e2d\U0001d11e')
+                       | st.characters())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**300), 2**300) | json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+)
+
+
+@exact
+@example({"": [], "{}": {}, "n": [-(2**300), 2**300 - 1, 0, True, False, None]})
+@given(json_values)
+def test_proof_writer_matches_the_stdlib(value):
+    assert _to_json(value) == json.dumps(value, indent=2)

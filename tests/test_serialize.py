@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import random_params, random_poly, random_ratfunc
+from conftest import count_calls, random_params, random_poly, random_ratfunc
 from telescopic import (
     Certificate,
     LogCombination,
@@ -35,6 +38,7 @@ from telescopic.serialize import (
     params_to_obj,
     poly_from_obj,
     poly_to_obj,
+    proof_to_obj,
     ratfunc_from_obj,
     ratfunc_to_obj,
     rational_from_str,
@@ -242,3 +246,48 @@ def test_proof_json_golden_digests(a, b, digest, mode):
     # the recorded values do not depend on how coefficients are stored
     text = proof_to_json(prove_identity(ParameterPair(a, b), mode=mode, extra_n=3))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _benchmark_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+def test_proof_json_is_the_stdlib_encoding(monkeypatch, mode):
+    # the benchmark's pairs at two seeds, then its known-defect pair, whose
+    # record fails with a reason and no recurrence
+    workloads = _benchmark_workloads(monkeypatch)
+    pairs = workloads.prove_pairs(2024) + workloads.prove_pairs(9091) + [workloads.DEFECT_PAIR]
+    for a, b in pairs:
+        proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=workloads.PROVE_EXTRA_N)
+        assert proof_to_json(proof) == json.dumps(proof_to_obj(proof), indent=2) + "\n"
+    assert not proof.proved
+
+
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+def test_a_proof_and_its_json_run_no_sturm_chain(monkeypatch, mode):
+    # every denominator of the paper's families has positive coefficients
+    calls = count_calls(monkeypatch, "sturm_root_count")
+    proof_to_json(prove_identity(ParameterPair(2, 1), mode=mode))
+    assert calls["sturm_root_count"] == 0
+
+
+def test_a_verify_mode_proof_and_its_json_build_no_ratfunc_by_gcd(monkeypatch):
+    # the families' parts and the closed-form certificates are in lowest
+    # terms by construction, and scaling keeps them so
+    calls = 0
+    original = RatFunc.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "__init__", counted)
+    proof_to_json(prove_identity(ParameterPair(2, 1), mode="verify"))
+    assert calls == 0

@@ -1,6 +1,7 @@
 """Telescoping verification, the exact nullspace solver, and ansatz
 discovery of recurrence/certificate pairs."""
 
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -104,6 +105,31 @@ def test_boundary_invariant():
     assert not nonzero_at_one.satisfies_boundary_invariant()
     pole_at_zero = Certificate((RatFunc(Poly([0, -1, 1]), Poly([0, 1, 1])),))
     assert not pole_at_zero.satisfies_boundary_invariant()
+
+
+def test_closed_forms_and_scalings_are_the_gcd_reduced_quotients():
+    # all are built without a gcd; the full constructor must agree
+    rng = random.Random(403)
+    x_x1 = Poly([0, -1, 1])
+    for bound in (50, 10**6):
+        for _ in range(20):
+            params = random_params(rng, bound)
+            a, b = params.a, params.b
+            c1, c2 = closed_form_certificates(params)
+            assert c1.parts == (
+                RatFunc(x_x1 * Poly([-a * b, 2 * a * b, a + b + 1]), Poly([a * b, a + b, 1])),
+            )
+            assert c2.parts == (
+                RatFunc(
+                    x_x1 * Poly([-(a + 1) * b, 2 * b * (a + 1), a - b]),
+                    Poly([(a + 1) * b, a - b]),
+                ),
+            )
+            factor = -Fraction(rng.randint(1, bound), rng.randint(1, bound))
+            for cert in (c1, c2):
+                part = cert.parts[0]
+                assert cert.scaled(factor).parts == (RatFunc(factor * part.num, part.den),)
+                assert cert.scaled(Fraction(0)).parts == (RatFunc.zero(),)
 
 
 # -- verification of the closed forms ------------------------------------------
@@ -262,6 +288,26 @@ def test_nullspace_rejects_ragged_rows():
         solve_nullspace([[Fraction(1)], [Fraction(1), Fraction(2)]])
 
 
+def test_nullspace_of_integer_rows_matches_fraction_rows_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(405)
+    for _ in range(100):
+        ncols = rng.randint(1, 7)
+        rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 4))]
+        # sometimes a row that combines two others, so that the rank drops
+        rows += [[2 * x - y for x, y in zip(rows[0], rows[-1])]] * rng.randint(0, 1)
+        basis = solve_nullspace(rows)
+        assert basis == solve_nullspace([[Fraction(c) for c in row] for row in rows])
+        expected = []
+        for vec in sympy.Matrix(rows).nullspace():
+            ints = [int(v * math.lcm(*(sympy.fraction(w)[1] for w in vec))) for v in vec]
+            ints = [v // math.gcd(*ints) for v in ints]
+            sign = 1 if next(v for v in ints if v) > 0 else -1
+            expected.append(tuple(sign * v for v in ints))
+        assert basis == expected
+
+
 def test_nullspace_vectors_annihilate_random_matrices():
     rng = random.Random(404)
     for _ in range(100):
@@ -402,6 +448,45 @@ def test_polynomial_kernel_of_a_full_rank_pencil_is_none():
     pencil = [(Poly.one(), Poly.zero()), (Poly.zero(), _X)]
     assert _polynomial_kernel(pencil) is None
     assert not _has_kernel_of_degree(pencil, 1)
+
+
+def _fraction_row_kernel(pencil):
+    """Reference: _polynomial_kernel with one Fraction per matrix entry, as
+    the rows were built before they became the columns' integers."""
+    width = len(pencil)
+    nrows = max(max(a.degree(), b.degree()) for a, b in pencil) + 1
+    if not solve_nullspace([[a[e] for a, _ in pencil] for e in range(nrows)]):
+        return None
+    for degree in range(width):
+        rows = []
+        for s in range(degree + 2):
+            for e in range(nrows):
+                row = [Fraction(0)] * (width * (degree + 1))
+                for i, (a, b) in enumerate(pencil):
+                    if s <= degree:
+                        row[s * width + i] = a[e]
+                    if s > 0:
+                        row[(s - 1) * width + i] = b[e]
+                rows.append(row)
+        basis = solve_nullspace(rows)
+        if basis:
+            return [Poly(basis[0][i::width]) for i in range(width)]
+    return None
+
+
+def test_polynomial_kernel_matches_the_fraction_row_reference():
+    rng = random.Random(408)
+    families = [IntegrandFamily(Poly.one())]
+    for bound in (15, 10**6):
+        for _ in range(3):
+            params = random_params(rng, bound)
+            families += [make_left_family(params), make_right_family(params)]
+    for fam in families:
+        rec_columns, cert_columns = _ansatz_columns(fam, 2, 4)
+        for rho in range(3):
+            for d in range(1, 5):
+                pencil = rec_columns[: rho + 1] + cert_columns[: d - 1]
+                assert _polynomial_kernel(pencil) == _fraction_row_kernel(pencil)
 
 
 def test_polynomial_kernel_is_a_least_degree_kernel_vector():
