@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import SpanError, TelescopicError
 from .families import ParameterPair, make_right_family
 from .integration import LogCombination, integrate_01, log_of_rational, logcomb_to_float
@@ -62,10 +60,6 @@ class ApproximantRow:
     value: mpmath.mpf
     abs_error: mpmath.mpf
     empirical_exponent: mpmath.mpf
-
-
-def _to_mpf(value: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(value.numerator) / value.denominator
 
 
 def target_constant(params: ParameterPair) -> LogCombination:
@@ -160,6 +154,8 @@ def _linear_forms(
     measured on the forms, and when the measurement exceeds the guess,
     the working precision is widened and Lambda evaluated again.
     """
+    import mpmath
+
     while True:
         workbits = precision_bits + 64 + cancellation + 8
         lam_value = logcomb_to_float(lam, workbits)
@@ -193,6 +189,8 @@ def approximant_table(
     as |R(n)|/p, which is the same number), and the empirical exponent
     1 + ln(p) / (-ln(abs_error)) with ln(p) as the height proxy.
     """
+    import mpmath
+
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if precision_bits < 64:
@@ -228,7 +226,7 @@ def approximant_table(
         for n, ((p, q), (u, Q, _), linear_form) in enumerate(zip(pairs, forms, linear_forms)):
             g = math.gcd(Q, u) if u > 0 else -math.gcd(Q, u)  # q/p = Q / (P d_n) = Q / u
             value = mpmath.mpf(Q // g) / (u // g)
-            size = abs(_to_mpf(p))
+            size = abs(mpmath.mpf(p.numerator) / p.denominator)
             abs_error = linear_form / size
             if abs_error == 0:
                 exponent = mpmath.inf
@@ -245,12 +243,16 @@ def decay_rate_estimate(rows: list[ApproximantRow]) -> mpmath.mpf:
     The linear form decays like the smaller root of the recurrence's
     characteristic polynomial, which is what this estimates.
     """
+    import mpmath
+
     if len(rows) < 5:
         raise ValueError("need at least 5 rows to estimate a decay rate")
     window = rows[len(rows) // 2 :]
     with mpmath.workprec(128):
-        first = window[0].abs_error * abs(_to_mpf(window[0].p))
-        last = window[-1].abs_error * abs(_to_mpf(window[-1].p))
+        first, last = (
+            row.abs_error * abs(mpmath.mpf(row.p.numerator) / row.p.denominator)
+            for row in (window[0], window[-1])
+        )
         steps = window[-1].n - window[0].n
         return +mpmath.power(last / first, mpmath.mpf(1) / steps)
 
@@ -259,6 +261,8 @@ def rows_to_csv(rows: list[ApproximantRow], precision_bits: int = 256) -> str:
     """CSV with columns n,p,q,value,abs_error,empirical_exponent;
     rationals as p/q strings, reals in scientific notation with a
     precision-derived digit count."""
+    import mpmath
+
     digits = max(17, int(precision_bits * 0.30103))
 
     def sci(x: mpmath.mpf) -> str:

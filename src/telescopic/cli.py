@@ -12,8 +12,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-import mpmath
-
 from . import serialize
 from ._version import __version__
 from .approximants import approximant_table, rows_to_csv
@@ -172,6 +170,8 @@ def cmd_approx(params: ParameterPair, args: argparse.Namespace) -> int:
     csv_text = rows_to_csv(rows, args.precision_bits)
     _emit(csv_text, args.out)
     if args.out is not None:
+        import mpmath
+
         # gnuplot-compatible companion: n against the approximation error
         with open(args.out + ".dat", "w", encoding="utf-8") as handle:
             for row in rows:

@@ -12,27 +12,20 @@ endpoints (certificate boundary terms vanish) by construction.  The one
 property checked at construction is that Q has no root in [0, 1] (the
 integrals converge), so c, r and each F(n, x) are in lowest terms as built.
 
-IntegrandFamily.integrals yields the exact integrals I(0), I(1), ... in
-one pass: the roots of Q and their factored logs are found once per
-family, and the integration kernel reads each member's principal parts
-off polynomials that each go from n to n + 1 by one multiplication.
+IntegrandFamily.integrals yields the exact integrals I(0), I(1), ... from
+one pass of the integration module's family loop over c and r: the roots
+of Q and their factored logs are found once, and each member's principal
+parts are read off polynomials that go from n to n + 1 by one product.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterator
 
-from .integration import (
-    LogCombination,
-    _integral_value,
-    _log_terms,
-    _principal_part,
-    _split_poles,
-)
+from .integration import LogCombination, _family_integrals
 from .polynomials import Poly, _to_fraction, has_root_in_unit_interval
 from .ratfuncs import RatFunc
 
@@ -89,46 +82,11 @@ class IntegrandFamily:
         c, r = self.cofactor, self.ratio
         return RatFunc._reduced(r.num**n * c.num, c.den ** (n + 1))
 
-    @cached_property
-    def _poles(self) -> list[tuple[Fraction, int, Poly, int, list[tuple[int, int]]]]:
-        """(root, multiplicity, den(y + root), gap, factored log((1-root)/(-root)))
-        for each root of the monic den: the n-free data of every integral."""
-        return [
-            (root, mult, shifted, gap, _log_terms((1 - root) / -root))
-            for root, mult, shifted, gap in _split_poles(self.cofactor.den)
-        ]
-
     def integrals(self) -> Iterator[LogCombination]:
-        """The exact integrals I(n) of F(n, x) over [0, 1], for n = 0, 1, 2, ...
-
-        Equal to integrate_01(self.at(n)), from data found once: den^(n+1)
-        has the roots of den, with multiplicities m(n+1), and its shift at
-        a root is den(y + root)^(n+1).  A principal part of order m(n+1)
-        reads its numerator only modulo y^(m(n+1)), so the numerator can be
-        c.num(y + root) * r.num(y + root)^n rather than the shifted remainder
-        of the division.  Every polynomial goes from n to n+1 by one
-        multiplication by an n-free one.
-        """
-        c, r = self.cofactor, self.ratio
-        poles = self._poles
-        logs = {root: terms for root, _, _, _, terms in poles}
-        steps = [r.num.shift(root) for root, _, _, _, _ in poles]
-        powers = [shifted for _, _, shifted, _, _ in poles]  # den(y + root)^(n+1)
-        numers = [c.num] * len(poles)  # c.num is constant: c.num * steps^n
-        num, den = c.num, c.den
-        # num = c.num * r.num^n has degree 2n and den = c.den^(n+1) degree
-        # (n+1) deg(c.den), so once deg(c.den) >= 2 the polynomial part stays 0
-        has_polynomial_part = r.num.degree() > den.degree()
-        for n in itertools.count():
-            parts = [
-                _principal_part(root, mult * (n + 1), power, numer, gap)
-                for (root, mult, _, gap, _), power, numer in zip(poles, powers, numers)
-            ]
-            yield _integral_value(num // den, parts, logs.__getitem__)
-            powers = [power * shifted for power, (_, _, shifted, _, _) in zip(powers, poles)]
-            numers = [numer * step for numer, step in zip(numers, steps)]
-            if has_polynomial_part:
-                num, den = num * r.num, den * c.den
+        """The exact integrals I(n) of F(n, x) over [0, 1], for n = 0, 1, 2, ...,
+        each equal to integrate_01(self.at(n)), in one lazy pass (see
+        integration._family_integrals)."""
+        return _family_integrals(self.cofactor, self.ratio)
 
 
 def make_left_family(params: ParameterPair) -> IntegrandFamily:

@@ -21,22 +21,22 @@ gives the squarefree part of the denominator, its rational roots are
 found directly, and the Taylor shift of the denominator at each root
 shows that root's multiplicity.  A pole inside [0, 1] is read off those
 roots; only a denominator that does not split over Q is searched for
-real roots there.  For a whole integrand family, IntegrandFamily.integrals
-finds the roots and the factored logs once and carries every member's
-poles from the last.  The assembly sums the rational constants in
-integers: the polynomial part over lcm(1..d+1), and the poles of order
->= 2 at each root through one polynomial evaluated by integer Horner
-steps; a single Fraction is reduced at the end.
+real roots there.  For a whole integrand family, _family_integrals
+(behind IntegrandFamily.integrals) finds the roots and the factored
+logs once and carries every member's poles from the last.  The
+assembly sums the rational constants in integers: the polynomial part
+over lcm(1..d+1), and the poles of order >= 2 at each root through one
+polynomial evaluated by integer Horner steps; a single Fraction is
+reduced at the end.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Iterable, Mapping, NamedTuple
-
-import mpmath
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DivergentIntegralError,
@@ -206,6 +206,8 @@ def logcomb_to_float(value: LogCombination, precision_bits: int) -> mpmath.mpf:
     point of the approximants), so the working precision is raised by
     the observed cancellation before the final rounding.
     """
+    import mpmath
+
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
     coeff_bits = max(
@@ -412,6 +414,40 @@ def _decompose(f: RatFunc) -> tuple[Poly, list[PrincipalPart]]:
         _principal_part(root, mult, shifted, remainder.shift(root), gap)
         for root, mult, shifted, gap in _split_poles(f.den)
     ]
+
+
+def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
+    """The exact integrals over [0, 1] of c * r^n, for n = 0, 1, 2, ...
+    (IntegrandFamily.integrals), where the cofactor c has a constant
+    numerator and the ratio r has the same monic denominator.
+
+    Equal to integrate_01(c * r^n), from data found once: c.den^(n+1)
+    has the roots of c.den, with multiplicities m(n+1), and its shift at
+    a root is c.den(y + root)^(n+1).  A principal part of order m(n+1)
+    reads its numerator only modulo y^(m(n+1)), so the numerator can be
+    c.num(y + root) * r.num(y + root)^n rather than the shifted remainder
+    of the division.  Every polynomial goes from n to n+1 by one
+    multiplication by an n-free one.
+    """
+    poles = _split_poles(c.den)
+    logs = {root: _log_terms((1 - root) / -root) for root, _, _, _ in poles}
+    steps = [r.num.shift(root) for root, _, _, _ in poles]
+    powers = [shifted for _, _, shifted, _ in poles]  # c.den(y + root)^(n+1)
+    numers = [c.num] * len(poles)  # c.num is constant: c.num * steps^n
+    num, den = c.num, c.den
+    # num = c.num * r.num^n has degree 2n and den = c.den^(n+1) degree
+    # (n+1) deg(c.den), so once deg(c.den) >= 2 the polynomial part stays 0
+    has_polynomial_part = r.num.degree() > den.degree()
+    for n in itertools.count():
+        parts = [
+            _principal_part(root, mult * (n + 1), power, numer, gap)
+            for (root, mult, _, gap), power, numer in zip(poles, powers, numers)
+        ]
+        yield _integral_value(num // den, parts, logs.__getitem__)
+        powers = [power * shifted for power, (_, _, shifted, _) in zip(powers, poles)]
+        numers = [numer * step for numer, step in zip(numers, steps)]
+        if has_polynomial_part:
+            num, den = num * r.num, den * c.den
 
 
 def partial_fractions(f: RatFunc) -> PartialFractionForm:
