@@ -7,11 +7,21 @@ multiplicity >= 2) plus simple-pole terms c/(x - root) whose integrals
 are c * log of a positive rational.  Factoring those rationals into
 primes yields the canonical exact value type of this package:
 
-    LogCombination  =  constant  +  sum_p coeff_p * log(p),   p prime.
+    LogCombination  =  constant  +  sum_p (c_p / den) * log(p),   p prime,
 
+with integer c_p over one common denominator den, gcd(den, *c_p) = 1.
 By unique factorization and the linear independence of {log p} over Q,
 this form is unique, so equality of exact integral values is a
-structural comparison — the engine's base-case checks need no numerics.
+structural comparison of integers — the engine's base-case checks need
+no numerics.
+
+The log arguments are split into primes by split_factors: the primes up
+to 41 are divided out, Pollard's rho splits the cofactor, and each factor
+is certified by strong probable-prime tests to the 13 prime bases 2..41,
+which prove primality below PSI_13 = 3317044064679887385961981 (Sorenson
+and Webster, 2017).  A value whose cofactor is at or above PSI_13 goes
+to factorize, trial division up to a bound, which raises
+FactorBoundExceededError past it.
 
 One kernel computes the principal part at a root, as a power series in
 integers, and one assembly turns principal parts and a polynomial part
@@ -23,11 +33,13 @@ shows that root's multiplicity.  A pole inside [0, 1] is read off those
 roots; only a denominator that does not split over Q is searched for
 real roots there.  For a whole integrand family, _family_integrals
 (behind IntegrandFamily.integrals) finds the roots and the factored
-logs once and carries every member's poles from the last.  The
-assembly sums the rational constants in integers: the polynomial part
-over lcm(1..d+1), and the poles of order >= 2 at each root through one
-polynomial evaluated by integer Horner steps; a single Fraction is
-reduced at the end.
+logs once and carries every member's poles from the last; its
+polynomial part is read off the numerator it expands at the root, with
+no division.  The assembly sums in integers: the polynomial part by
+Horner steps over lcm(1..d+1), the poles of order >= 2 at each root
+through one polynomial evaluated by integer Horner steps, and the
+simple poles' log coefficients over one denominator.  Each value is
+reduced once, at the end.
 """
 from __future__ import annotations
 
@@ -108,38 +120,156 @@ def factorize(value: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     return factors
 
 
+# Sorenson and Webster (Math. Comp. 86, 2017): below psi_13, a number that
+# is a strong probable prime to each of the 13 prime bases 2..41 is prime.
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    """n odd and above 41: is n a strong probable prime to every base in
+    _SPRP_BASES?  Below PSI_13 that proves n prime."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d >>= s
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor 1 < d < n of an odd composite n with no prime factor
+    <= 41, by Brent's variant of Pollard's rho (Brent, BIT 20, 1980): the
+    gcd is taken once per batch of up to 128 products, and the first
+    batch that reaches n is replayed one step at a time.  The constants
+    c = 1, 2, ... are tried in turn, so the result is deterministic."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
+def split_factors(value: int) -> dict[int, int]:
+    """Prime factorization of a positive integer, equal to factorize(value)
+    wherever that succeeds, without trial division past 41.
+
+    The primes up to 41 are divided out, and the cofactor is split by
+    Pollard's rho (_rho_divisor) until every factor is a strong probable
+    prime to the bases 2..41, which certifies it prime below PSI_13.  When
+    the cofactor is at or above PSI_13, the value goes to factorize,
+    whose bound then decides, and whose error is explicit.
+    """
+    if value <= 0:
+        raise ValueError("split_factors expects a positive integer")
+    factors: dict[int, int] = {}
+    n = value
+    for p in _SPRP_BASES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    if n >= PSI_13:
+        return factorize(value)
+    pending = [n] if n > 1 else []
+    while pending:
+        n = pending.pop()
+        # no prime <= 41 divides n, so n < 43^2 is prime
+        if n < 43 * 43 or _is_strong_probable_prime(n):
+            factors[n] = factors.get(n, 0) + 1
+        else:
+            d = _rho_divisor(n)
+            pending += [d, n // d]
+    return dict(sorted(factors.items()))
+
+
 # -- the canonical exact value type -------------------------------------------
 
 
 @dataclass(frozen=True)
 class LogCombination:
-    """constant + sum over (prime, coeff) of coeff * log(prime).
+    """constant + sum over primes p of (c_p / den) * log(p).
 
-    Canonical: primes strictly increasing, no zero coefficients.  Two
-    values are mathematically equal iff they are structurally equal.
+    Stored as the Fraction constant, the primes strictly increasing, their
+    nonzero integer coefficients c_p and one positive common denominator
+    den with gcd(den, *c_p) = 1 (den = 1 when there are no logs).  The
+    form is unique, so two values are mathematically equal iff their
+    fields are, and == and hash compare tuples.  The ``terms`` property
+    builds the reduced (prime, Fraction) pairs on access.
     """
 
     constant: Fraction
-    terms: tuple[tuple[int, Fraction], ...]
+    _primes: tuple[int, ...]
+    _ints: tuple[int, ...]
+    _den: int
 
     def __init__(self, constant=0, terms: Iterable = ()):
-        object.__setattr__(self, "constant", _to_fraction(constant))
         merged: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for prime, coeff in items:
             coeff = _to_fraction(coeff)
             merged[prime] = merged[prime] + coeff if prime in merged else coeff
-        cleaned = tuple(
-            (p, c) for p, c in sorted(merged.items()) if c != 0
-        )
-        object.__setattr__(self, "terms", cleaned)
+        primes = sorted(p for p, c in merged.items() if c)
+        # over the lcm of the reduced denominators, gcd(den, *ints) = 1
+        den = math.lcm(*(merged[p].denominator for p in primes))
+        ints = tuple(merged[p].numerator * (den // merged[p].denominator) for p in primes)
+        self._set(_to_fraction(constant), tuple(primes), ints, den)
+
+    def _set(self, constant: Fraction, primes: tuple, ints: tuple, den: int) -> None:
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "_primes", primes)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _reduce(cls, constant: Fraction, coeffs: Mapping[int, int], den: int) -> "LogCombination":
+        """constant + sum of coeffs[p] / den * log(p), for den > 0, in
+        canonical form: zero coefficients dropped, one gcd."""
+        primes = sorted(p for p, c in coeffs.items() if c)
+        ints = [coeffs[p] for p in primes]
+        g = math.gcd(den, *ints)  # den itself when there are no logs
+        if g > 1:
+            ints, den = [c // g for c in ints], den // g
+        value = object.__new__(cls)
+        value._set(constant, tuple(primes), tuple(ints), den)
+        return value
+
+    @property
+    def terms(self) -> tuple[tuple[int, Fraction], ...]:
+        """The (prime, coefficient) pairs, by prime; built on access."""
+        den = self._den
+        return tuple((p, Fraction(c, den)) for p, c in zip(self._primes, self._ints))
 
     @classmethod
     def zero(cls) -> "LogCombination":
         return cls(0, ())
 
     def is_zero(self) -> bool:
-        return self.constant == 0 and not self.terms
+        return not self._primes and self.constant == 0
 
     def terms_dict(self) -> dict[int, Fraction]:
         return dict(self.terms)
@@ -147,9 +277,12 @@ class LogCombination:
     def __add__(self, other) -> "LogCombination":
         if not isinstance(other, LogCombination):
             return NotImplemented
-        return LogCombination(
-            self.constant + other.constant, list(self.terms) + list(other.terms)
-        )
+        g = math.gcd(self._den, other._den)
+        lift, other_lift = other._den // g, self._den // g
+        coeffs = {p: c * lift for p, c in zip(self._primes, self._ints)}
+        for p, c in zip(other._primes, other._ints):
+            coeffs[p] = coeffs.get(p, 0) + c * other_lift
+        return LogCombination._reduce(self.constant + other.constant, coeffs, lift * self._den)
 
     def __sub__(self, other) -> "LogCombination":
         if not isinstance(other, LogCombination):
@@ -161,9 +294,9 @@ class LogCombination:
 
     def scale(self, factor) -> "LogCombination":
         factor = _to_fraction(factor)
-        return LogCombination(
-            factor * self.constant, [(p, factor * c) for p, c in self.terms]
-        )
+        u = factor.numerator
+        coeffs = {p: c * u for p, c in zip(self._primes, self._ints)}
+        return LogCombination._reduce(factor * self.constant, coeffs, self._den * factor.denominator)
 
     def __rmul__(self, factor) -> "LogCombination":
         if isinstance(factor, (int, Fraction)):
@@ -174,7 +307,7 @@ class LogCombination:
 
     def __str__(self) -> str:
         pieces = []
-        if self.constant != 0 or not self.terms:
+        if self.constant != 0 or not self._primes:
             pieces.append(str(self.constant))
         for p, c in self.terms:
             if not pieces:
@@ -186,8 +319,8 @@ class LogCombination:
 
 def _log_terms(value: Fraction) -> list[tuple[int, int]]:
     """(prime, exponent) pairs with log(value) = sum of exponent * log(prime)."""
-    return list(factorize(value.numerator).items()) + [
-        (p, -e) for p, e in factorize(value.denominator).items()
+    return list(split_factors(value.numerator).items()) + [
+        (p, -e) for p, e in split_factors(value.denominator).items()
     ]
 
 
@@ -210,17 +343,18 @@ def logcomb_to_float(value: LogCombination, precision_bits: int) -> mpmath.mpf:
 
     if precision_bits < 64:
         raise ValueError("precision_bits must be >= 64")
+    terms = value.terms
     coeff_bits = max(
         [abs(value.constant.numerator).bit_length()]
-        + [abs(c.numerator).bit_length() for _, c in value.terms],
+        + [abs(c.numerator).bit_length() for _, c in terms],
         default=1,
     )
-    guard = 64 + coeff_bits + len(value.terms).bit_length()
+    guard = 64 + coeff_bits + len(terms).bit_length()
 
     def attempt(workbits: int) -> mpmath.mpf:
         with mpmath.workprec(workbits):
             total = mpmath.mpf(value.constant.numerator) / value.constant.denominator
-            for p, c in value.terms:
+            for p, c in terms:
                 total += mpmath.ln(p) * mpmath.mpf(c.numerator) / c.denominator
             return total
 
@@ -231,7 +365,7 @@ def logcomb_to_float(value: LogCombination, precision_bits: int) -> mpmath.mpf:
         cancellation = precision_bits + guard  # everything cancelled; retry harder
     else:
         magnitude = max(
-            [abs(value.constant)] + [abs(c) * 2 for _, c in value.terms]
+            [abs(value.constant)] + [abs(c) * 2 for _, c in terms]
         )
         with mpmath.workprec(64):
             cancellation = max(
@@ -428,26 +562,32 @@ def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
     c.num(y + root) * r.num(y + root)^n rather than the shifted remainder
     of the division.  Every polynomial goes from n to n+1 by one
     multiplication by an n-free one.
+
+    The numerator c.num * r.num^n has degree 2n and c.den^(n+1) degree
+    (n+1) deg(c.den), so the polynomial part is 0 once deg(c.den) >= 2.
+    For a monic c.den = x - root it is the top of the numerator at the
+    root, u_(n+1) y^0 + ... + u_(2n) y^(n-1), and for c.den = 1 the whole
+    numerator at 0; _polynomial_integral integrates either with no division.
     """
     poles = _split_poles(c.den)
     logs = {root: _log_terms((1 - root) / -root) for root, _, _, _ in poles}
-    steps = [r.num.shift(root) for root, _, _, _ in poles]
+    # the numerator is expanded at each root, or at 0 when c.den = 1
+    points = [root for root, _, _, _ in poles] or [Fraction(0)]
+    steps = [r.num.shift(point) for point in points]
     powers = [shifted for _, _, shifted, _ in poles]  # c.den(y + root)^(n+1)
-    numers = [c.num] * len(poles)  # c.num is constant: c.num * steps^n
-    num, den = c.num, c.den
-    # num = c.num * r.num^n has degree 2n and den = c.den^(n+1) degree
-    # (n+1) deg(c.den), so once deg(c.den) >= 2 the polynomial part stays 0
-    has_polynomial_part = r.num.degree() > den.degree()
+    numers = [c.num] * len(points)  # c.num is constant: c.num * steps^n
+    degree = c.den.degree()
     for n in itertools.count():
         parts = [
             _principal_part(root, mult * (n + 1), power, numer, gap)
             for (root, mult, _, gap), power, numer in zip(poles, powers, numers)
         ]
-        yield _integral_value(num // den, parts, logs.__getitem__)
+        rational = (0, 1)
+        if degree < 2:
+            rational = _polynomial_integral(numers[0], degree * (n + 1), points[0])
+        yield _integral_value(rational, parts, logs.__getitem__)
         powers = [power * shifted for power, (_, _, shifted, _) in zip(powers, poles)]
         numers = [numer * step for numer, step in zip(numers, steps)]
-        if has_polynomial_part:
-            num, den = num * r.num, den * c.den
 
 
 def partial_fractions(f: RatFunc) -> PartialFractionForm:
@@ -472,27 +612,55 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
 # -- the integral ---------------------------------------------------------------
 
 
+def _polynomial_integral(numer: Poly, start: int, root: Fraction) -> tuple[int, int]:
+    """(num, den) with num/den the integral over [0, 1] of the polynomial
+    sum_j u_(start+j) (x - root)^j, for the coefficients u of numer.
+
+    Over y = x - root it is sum_j u_(start+j-1) ((1-root)^j - (-root)^j)/j,
+    j >= 1: with root = p/q and H(z) = sum_j h_j z^j, h_j = u_(start+j-1)
+    lcm(1..J)/j, that is (q^J H((q-p)/q) - q^J H(-p/q)) / lcm(1..J), two
+    evaluations by integer Horner steps.
+    """
+    ints = numer._ints[start:]
+    lcm = math.lcm(*range(1, len(ints) + 1))
+    h = Poly._reduce([0] + [c * (lcm // j) for j, c in enumerate(ints, 1)], 1)
+    p, q = root.numerator, root.denominator
+    top, scale = h._horner(q - p, q)
+    bottom, _ = h._horner(-p, q)
+    return top - bottom, scale * lcm * numer._den
+
+
 def _integral_value(
-    poly_part: Poly, parts: Iterable[PrincipalPart], log_terms: Callable[[Fraction], list]
+    rational: tuple[int, int], parts: Iterable[PrincipalPart], log_terms: Callable[[Fraction], list]
 ) -> LogCombination:
-    """The integral over [0, 1] of poly_part plus the principal parts,
-    none of whose roots lies in [0, 1].
+    """The integral over [0, 1] of a polynomial part whose integral is
+    rational = (num, den), plus the principal parts, none of whose roots
+    lies in [0, 1].
 
     log_terms(root) factors log((1 - root)/(-root)); it is asked only for
-    roots with a simple pole.  The rationals are summed in integers: the
-    polynomial part over lcm(1..d+1), and the poles of order k >= 2 at a
-    root r through G(z) = sum c_k/(k-1) z^(k-1): their integral is
-    G(-1/r) - G(1/(1-r)).
+    roots with a simple pole.  All sums run in integers.  A simple pole
+    contributes its coefficient N/D times each prime exponent of its log;
+    the log coefficients share one denominator, and one gcd reduces them
+    at the end.  The poles of order k >= 2 at a root r add the rational
+    G(-1/r) - G(1/(1-r)) with G(z) = sum c_k/(k-1) z^(k-1), by integer
+    Horner steps; a single Fraction is reduced at the end.
     """
-    ints = poly_part._ints
-    lcm = math.lcm(*range(1, len(ints) + 1))
-    num, den = sum(c * (lcm // (i + 1)) for i, c in enumerate(ints)), poly_part._den * lcm
-    terms: list[tuple[int, Fraction]] = []
+    num, den = rational
+    coeffs: dict[int, int] = {}  # over log_den
+    log_den = 1
     for root, scale, gap, ws in parts:
         order = len(ws)
         if ws[-1]:
-            simple = Fraction(scale.numerator * ws[-1], scale.denominator * gap ** (order - 1))
-            terms.extend((p, simple * e) for p, e in log_terms(root))
+            # the simple-pole coefficient simple / simple_den, over the lcm of the denominators
+            simple, simple_den = scale.numerator * ws[-1], scale.denominator * gap ** (order - 1)
+            common = math.gcd(log_den, simple_den)
+            lift = simple_den // common
+            if lift > 1:
+                coeffs = {p: c * lift for p, c in coeffs.items()}
+            simple *= log_den // common
+            log_den *= lift
+            for p, e in log_terms(root):
+                coeffs[p] = coeffs.get(p, 0) + simple * e
         if order > 1:
             # c_k/(k-1) z^(k-1) = scale * ws[t] gap^(j-1) (lcm/j) z^j / (gap^(order-2) lcm)
             # with j = k - 1 = order - 1 - t
@@ -508,7 +676,7 @@ def _integral_value(
             part_num = scale.numerator * (acc1 * s2 - acc2 * s1)
             part_den = scale.denominator * (power // gap) * lcm * s1 * s2
             num, den = num * part_den + part_num * den, den * part_den
-    return LogCombination(Fraction(num, den), terms)
+    return LogCombination._reduce(Fraction(num, den), coeffs, log_den)
 
 
 def integrate_01(f: RatFunc) -> LogCombination:
@@ -535,4 +703,5 @@ def integrate_01(f: RatFunc) -> LogCombination:
         raise DivergentIntegralError(
             f"integrand has a pole in [0, 1]: denominator {f.den}"
         )
-    return _integral_value(poly_part, parts, lambda root: _log_terms((1 - root) / -root))
+    rational = _polynomial_integral(poly_part, 0, Fraction(0))
+    return _integral_value(rational, parts, lambda root: _log_terms((1 - root) / -root))

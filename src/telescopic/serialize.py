@@ -17,16 +17,22 @@ status are derived from the other entries, and every number has one
 spelling.  `proof_from_obj` reads only the independent entries and
 refuses a record that their re-encoding does not reproduce (key order
 and `tool_version` aside), so no edited derived entry and no
-non-canonical number passes.  `proof_to_json` writes the text of
-`json.dumps(proof_to_obj(p), indent=2)` in one recursive pass: the
-stdlib's indenting encoder is pure Python, and took a third of the time.
+non-canonical number passes.  That check is what refuses a
+non-canonical spelling, so the LogCombination decoder reads each number
+as the integers it spells, with no Fraction parse.
+`proof_to_json` writes the text of `json.dumps(proof_to_obj(p),
+indent=2)` in one recursive pass (the stdlib's indenting encoder is pure
+Python, and took a third of the time), and the text of each checked
+value once, however many entries record it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import Callable
 
 from ._version import __version__
 from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
@@ -63,20 +69,40 @@ def ratfunc_from_obj(obj: dict) -> RatFunc:
     return RatFunc(poly_from_obj(obj["num"]), poly_from_obj(obj["den"]))
 
 
+def _ratio_to_str(num: int, den: int) -> str:
+    """rational_to_str(Fraction(num, den)) for den > 0."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _ratio_from_str(text: str) -> tuple[int, int]:
+    """The integers of a "p/q" or "p" spelling, as written."""
+    num, slash, den = text.partition("/")
+    return int(num), int(den) if slash else 1
+
+
 def logcomb_to_obj(value: LogCombination) -> dict:
+    den = value._den
     return {
         "constant": rational_to_str(value.constant),
         "terms": [
-            {"prime": str(p), "coeff": rational_to_str(c)} for p, c in value.terms
+            {"prime": str(p), "coeff": _ratio_to_str(c, den)}
+            for p, c in zip(value._primes, value._ints)
         ],
     }
 
 
 def logcomb_from_obj(obj: dict) -> LogCombination:
-    return LogCombination(
-        Fraction(obj["constant"]),
-        [(int(t["prime"]), Fraction(t["coeff"])) for t in obj["terms"]],
-    )
+    """The value the object spells; each number is read as integers, with
+    no Fraction parse.  A non-canonical spelling is read as the number it
+    denotes, so only the re-encoding check of proof_from_obj refuses it."""
+    constant = Fraction(*_ratio_from_str(obj["constant"]))
+    terms = [(int(t["prime"]), _ratio_from_str(t["coeff"])) for t in obj["terms"]]
+    den = math.lcm(*(d for _, (_, d) in terms))
+    coeffs: dict[int, int] = {}
+    for p, (n, d) in terms:
+        coeffs[p] = coeffs.get(p, 0) + n * (den // d)
+    return LogCombination._reduce(constant, coeffs, den)
 
 
 def params_to_obj(params: ParameterPair) -> dict:
@@ -110,16 +136,14 @@ def certificate_from_obj(obj: dict) -> Certificate:
     return Certificate(tuple(ratfunc_from_obj(p) for p in obj["parts"]))
 
 
-def _checks_to_obj(checks) -> list:
-    return [
-        {
-            "n": n,
-            "left": logcomb_to_obj(left),
-            "right": logcomb_to_obj(right),
-            "equal": left == right,
-        }
-        for n, left, right in checks
-    ]
+def _checks_to_obj(checks, encode: Callable[[LogCombination], object]) -> list:
+    entries = []
+    for n, left, right in checks:
+        equal = left == right
+        entries.append(
+            {"n": n, "left": encode(left), "right": encode(left if equal else right), "equal": equal}
+        )
+    return entries
 
 
 def _checks_from_obj(obj) -> tuple:
@@ -129,7 +153,8 @@ def _checks_from_obj(obj) -> tuple:
     )
 
 
-def proof_to_obj(proof: ProofObject) -> dict:
+def proof_to_obj(proof: ProofObject, encode: Callable[[LogCombination], object] = logcomb_to_obj) -> dict:
+    """The record of a proof; `encode` writes each checked value."""
     verdict: dict = {"status": proof.verdict}
     if proof.failure_reason is not None:
         verdict["reason"] = proof.failure_reason
@@ -154,8 +179,8 @@ def proof_to_obj(proof: ProofObject) -> dict:
                 else certificate_to_obj(proof.right_certificate)
             ),
         },
-        "base_cases": _checks_to_obj(proof.base_cases),
-        "extra_checks": _checks_to_obj(proof.extra_checks),
+        "base_cases": _checks_to_obj(proof.base_cases, encode),
+        "extra_checks": _checks_to_obj(proof.extra_checks, encode),
         # the change of variables is the last check, so it passed iff proved
         "substitution_check": proof.proved,
         "verdict": verdict,
@@ -163,11 +188,19 @@ def proof_to_obj(proof: ProofObject) -> dict:
     }
 
 
+class _Text(str):
+    """JSON text already written, which _to_json copies as it is."""
+
+
+# the depth of a checked value in a proof record: root, check list, entry
+_VALUE_INDENT = "  " * 3
+
+
 def _to_json(value, indent: str = "") -> str:
     """json.dumps(value, indent=2) for a value nested `indent` deep, with
     str keys and dict, list, str, int, bool and None values."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _Text else encode_basestring_ascii(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -187,7 +220,18 @@ def _to_json(value, indent: str = "") -> str:
 
 
 def proof_to_json(proof: ProofObject) -> str:
-    return _to_json(proof_to_obj(proof)) + "\n"
+    """json.dumps(proof_to_obj(proof), indent=2) + "\n", with the text of
+    each checked value written once: a base case is the same object as the
+    extra check at its n, and in a passed check right equals left."""
+    texts: dict[int, _Text] = {}  # by id; the proof keeps every value alive
+
+    def encode(value: LogCombination) -> _Text:
+        text = texts.get(id(value))
+        if text is None:
+            text = texts[id(value)] = _Text(_to_json(logcomb_to_obj(value), _VALUE_INDENT))
+        return text
+
+    return _to_json(proof_to_obj(proof, encode)) + "\n"
 
 
 def _canonical(obj: dict) -> str:

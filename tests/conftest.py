@@ -5,10 +5,12 @@ its own random.Random(seed) so failures reproduce exactly.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from telescopic import ParameterPair, Poly, RatFunc
 
@@ -67,3 +69,14 @@ def count_calls(monkeypatch, *names: str) -> Counter:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return calls
+
+
+def benchmark_workloads(monkeypatch):
+    """The benchmark's workloads module, perfbench/workloads.py, loaded
+    from this checkout."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

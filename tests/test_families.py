@@ -3,6 +3,7 @@ families F(n, x) = x^n (1-x)^n / den(x)^(n+1) = c(x) * r(x)^n, and their
 one-pass exact integrals."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -137,6 +138,18 @@ def test_integrals_with_a_repeated_root():
     values = list(itertools.islice(fam.integrals(), 9))
     assert values[0] == LogCombination(Fraction(1, 6))  # 1/2 - 1/3
     assert values == [integrate_01(fam.at(n)) for n in range(9)]
+
+
+@pytest.mark.parametrize("lead", [1, 3])
+def test_integrals_of_a_constant_denominator(lead):
+    # no poles: each member is the polynomial x^n (1-x)^n / lead^(n+1), whose
+    # integral is the Beta value n!^2 / ((2n+1)! lead^(n+1))
+    fam = IntegrandFamily(Poly([lead]))
+    values = list(itertools.islice(fam.integrals(), 9))
+    assert values == [integrate_01(fam.at(n)) for n in range(9)]
+    for n, value in enumerate(values):
+        beta = Fraction(math.factorial(n) ** 2, math.factorial(2 * n + 1) * lead ** (n + 1))
+        assert value == LogCombination(beta)
 
 
 def test_integrals_need_a_denominator_that_splits():

@@ -1,6 +1,9 @@
 """Exact rational integration over [0, 1]: factorization, canonical
 log-combinations, partial fractions, and the integral itself."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -27,6 +30,7 @@ from telescopic import (
     rational_roots,
 )
 from conftest import count_calls, random_params, random_poly
+from telescopic.integration import PSI_13, _is_strong_probable_prime, split_factors
 
 
 # -- factorization -------------------------------------------------------------
@@ -94,6 +98,64 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
+# -- the certified factor splitter ------------------------------------------------
+
+
+def test_split_factors_equals_factorize():
+    rng = random.Random(1912)
+    values = list(range(1, 2501)) + [rng.randint(1, 10**12) for _ in range(300)]
+    for value in values:
+        assert split_factors(value) == factorize(value), value
+
+
+@pytest.mark.parametrize(
+    "value, factors",
+    [
+        (1000003 * 1000033, {1000003: 1, 1000033: 1}),  # the benchmark's defect pair
+        (999983 * 1000003, {999983: 1, 1000003: 1}),
+        (10**12 + 39, {10**12 + 39: 1}),  # a prime
+        (2 * 150503 * 1534499, {2: 1, 150503: 1, 1534499: 1}),
+        (101**2, {101: 2}),
+        (1009**3 * 5, {5: 1, 1009: 3}),
+        (1000003**2, {1000003: 2}),
+    ],
+)
+def test_split_factors_past_trial_division(value, factors):
+    assert split_factors(value) == factors
+    assert list(split_factors(value)) == sorted(factors)
+
+
+@pytest.mark.parametrize(
+    "value, factors",
+    [
+        (3215031751, {151: 1, 751: 1, 28351: 1}),  # strong pseudoprime to 2, 3, 5, 7
+        (3825123056546413051, {149491: 1, 747451: 1, 34233211: 1}),  # to 2..23
+    ],
+)
+def test_split_factors_sees_through_strong_pseudoprimes(value, factors):
+    assert not _is_strong_probable_prime(value)
+    assert split_factors(value) == factors
+
+
+def test_split_factors_leaves_psi_13_and_above_to_factorize(monkeypatch):
+    # PSI_13 = 1287836182261 * 2575672364521 passes the tests to the bases
+    # 2..37; at and above it the bases no longer certify, so trial division
+    # decides, and its bound is exceeded
+    calls = count_calls(monkeypatch, "factorize")
+    with pytest.raises(FactorBoundExceededError, match="factor bound exceeded"):
+        split_factors(PSI_13)
+    with pytest.raises(FactorBoundExceededError):
+        split_factors(2**5 * PSI_13)
+    # just below, the splitter certifies what trial division cannot
+    assert split_factors(PSI_13 - 2) == {17: 1, 1709: 1, 1366183751: 1, 83570142193: 1}
+    assert calls["factorize"] == 2
+
+
+def test_split_factors_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        split_factors(0)
+
+
 # -- LogCombination -------------------------------------------------------------
 
 
@@ -102,6 +164,33 @@ def test_logcomb_canonical_order_and_zero_dropping():
     assert v.terms == ((2, Fraction(1)), (3, Fraction(2)))
     w = LogCombination(0, {2: Fraction(1), 3: Fraction(-1)})
     assert w.terms_dict() == {2: 1, 3: -1}
+
+
+def test_logcomb_terms_are_reduced_and_in_prime_order():
+    v = LogCombination(Fraction(3, 9), [(7, Fraction(4, 6)), (2, Fraction(-5, 10)), (3, 3)])
+    assert v.terms == ((2, Fraction(-1, 2)), (3, Fraction(3)), (7, Fraction(2, 3)))
+    for _, c in v.terms:
+        assert type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+    assert v.constant == Fraction(1, 3)
+    # one denominator, the lcm of the reduced ones, and coprime to the integers
+    assert (v._primes, v._ints, v._den) == ((2, 3, 7), (-3, 18, 4), 6)
+    assert (LogCombination(5)._primes, LogCombination(5)._den) == ((), 1)
+    # the arithmetic keeps the form canonical
+    w = v + LogCombination(0, {7: Fraction(-2, 3), 2: Fraction(1, 2)})
+    assert (w._primes, w._ints, w._den) == ((3,), (3,), 1)
+    assert (v.scale(0)._primes, v.scale(0)._den) == ((), 1)
+    assert v.scale(Fraction(-2, 5)).terms == tuple((p, c * Fraction(-2, 5)) for p, c in v.terms)
+
+
+def test_logcomb_is_immutable():
+    v = LogCombination(1, {2: 1})
+    for name in ("constant", "terms", "_ints", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+    with pytest.raises(AttributeError):
+        del v.constant
+    assert v == LogCombination(1, {2: 1}) and hash(v) == hash(LogCombination(1, {2: 1}))
+    assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
 
 
 def test_logcomb_merges_duplicate_primes():
@@ -172,6 +261,60 @@ def test_logcomb_to_float_reference_value():
 def test_logcomb_to_float_rational_and_zero():
     assert logcomb_to_float(LogCombination(Fraction(5, 4)), 64) == mpmath.mpf("1.25")
     assert logcomb_to_float(LogCombination.zero(), 64) == 0
+
+
+def _fraction_terms_to_float(constant, terms, precision_bits):
+    # the float conversion as written over (prime, Fraction) terms, before
+    # LogCombination kept its logs as integers over one denominator
+    coeff_bits = max(
+        [abs(constant.numerator).bit_length()]
+        + [abs(c.numerator).bit_length() for _, c in terms],
+        default=1,
+    )
+    guard = 64 + coeff_bits + len(terms).bit_length()
+
+    def attempt(workbits):
+        with mpmath.workprec(workbits):
+            total = mpmath.mpf(constant.numerator) / constant.denominator
+            for p, c in terms:
+                total += mpmath.ln(p) * mpmath.mpf(c.numerator) / c.denominator
+            return total
+
+    if constant == 0 and not terms:
+        return mpmath.mpf(0)
+    first = attempt(precision_bits + guard)
+    if first == 0:
+        cancellation = precision_bits + guard
+    else:
+        magnitude = max([abs(constant)] + [abs(c) * 2 for _, c in terms])
+        with mpmath.workprec(64):
+            cancellation = max(
+                0, int(mpmath.log(mpmath.mpf(magnitude.numerator) / magnitude.denominator / abs(first), 2)) + 8
+            )
+    final = attempt(precision_bits + guard + cancellation)
+    with mpmath.workprec(precision_bits):
+        return +final
+
+
+def test_logcomb_to_float_bits_match_the_fraction_term_evaluation():
+    from telescopic import closed_form_recurrence, propagate_recurrence
+
+    params = ParameterPair(Fraction(7, 2), Fraction(1, 3))
+    right = make_right_family(params)
+    values = propagate_recurrence(
+        closed_form_recurrence(params), [integrate_01(right.at(0)), integrate_01(right.at(1))], 30
+    )
+    values += [integrate_01(make_left_family(params).at(n)) for n in range(6)]
+    rng = random.Random(1913)
+    for _ in range(40):
+        terms = {rng.choice([2, 3, 5, 7, 11, 1000003]): Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**6))
+                 for _ in range(rng.randint(0, 4))}
+        values.append(LogCombination(Fraction(rng.randint(-99, 99), rng.randint(1, 99)), terms))
+    for value in values:
+        for bits in (64, 256):
+            got = logcomb_to_float(value, bits)
+            want = _fraction_terms_to_float(value.constant, value.terms, bits)
+            assert (got.man, got.exp) == (want.man, want.exp), value
 
 
 def test_logcomb_to_float_survives_catastrophic_cancellation():

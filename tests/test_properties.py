@@ -1,6 +1,7 @@
 """Property tests of Poly and RatFunc, with sympy as the oracle for the
 Taylor shift and the gcd, of the one-pass family integrals, with
-integrate_01 as the oracle, of root exclusion, with the Sturm chain as
+integrate_01 as the oracle, of the integer value assembly, with the same
+sum in Fractions as the oracle, of root exclusion, with the Sturm chain as
 the oracle, and of the proof writer, with json.dumps as the oracle.
 Both libraries are test-only; the module is skipped where either is
 missing."""
@@ -18,6 +19,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from telescopic import (  # noqa: E402
+    LogCombination,
     ParameterPair,
     Poly,
     RatFunc,
@@ -27,6 +29,7 @@ from telescopic import (  # noqa: E402
     poly_gcd,
     sturm_root_count,
 )
+from telescopic.integration import PrincipalPart, _integral_value  # noqa: E402
 from telescopic.polynomials import has_root_in_unit_interval  # noqa: E402
 from telescopic.serialize import _to_json  # noqa: E402
 
@@ -130,6 +133,44 @@ def test_family_integrals_match_integrate_01(x, y):
     for fam in (make_left_family(params), make_right_family(params)):
         for n, value in zip(range(13), fam.integrals()):
             assert value == integrate_01(fam.at(n))
+
+
+roots_outside_unit_interval = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)).filter(
+    lambda root: not 0 <= root <= 1
+)
+principal_parts = st.lists(
+    st.tuples(
+        roots_outside_unit_interval,
+        rationals.filter(bool),  # scale
+        st.integers(1, 30),  # gap
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4),  # ws
+        st.lists(st.tuples(st.sampled_from([2, 3, 5, 7, 11, 1000003]), st.integers(-3, 3)), max_size=4),
+    ),
+    max_size=3,
+    unique_by=lambda part: part[0],
+)
+
+
+@exact
+@given(principal_parts, rationals)
+def test_integral_value_is_the_fraction_assembly(parts, rational):
+    # the integer assembly against the same sum in Fractions: the
+    # coefficient of 1/(x - r)^k is scale * ws[t] / gap^t with k = len(ws) - t
+    logs = {root: log for root, _, _, _, log in parts}
+    principal = [PrincipalPart(root, scale, gap, ws) for root, scale, gap, ws, _ in parts]
+    value = _integral_value((rational.numerator, rational.denominator), principal, logs.__getitem__)
+    constant, terms = rational, []
+    for root, scale, gap, ws in principal:
+        for t, w in enumerate(ws):
+            coeff, k = scale * Fraction(w, gap**t), len(ws) - t
+            if k == 1:
+                terms += [(p, coeff * e) for p, e in logs[root]]
+            else:
+                constant += coeff * ((1 - root) ** (1 - k) - (-root) ** (1 - k)) / (1 - k)
+    expected = LogCombination(constant, terms)
+    assert value == expected
+    assert hash(value) == hash(expected)
+    assert value.terms == expected.terms
 
 
 @exact

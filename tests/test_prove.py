@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_params
+from conftest import benchmark_workloads, random_params
 from telescopic import (
     Certificate,
     IntegrandFamily,
@@ -293,14 +293,14 @@ def test_each_n_is_integrated_once(monkeypatch):
             yield value
 
     factored = []
-    factorize = integration_module.factorize
+    split_factors = integration_module.split_factors
 
-    def counting_factorize(value, *args):
+    def counting_split_factors(value):
         factored.append(value)
-        return factorize(value, *args)
+        return split_factors(value)
 
     monkeypatch.setattr(IntegrandFamily, "integrals", counting_integrals)
-    monkeypatch.setattr(integration_module, "factorize", counting_factorize)
+    monkeypatch.setattr(integration_module, "split_factors", counting_split_factors)
     params = ParameterPair(2, 1)
     proof = prove_identity(params, extra_n=5)
     assert proof.proved
@@ -310,6 +310,17 @@ def test_each_n_is_integrated_once(monkeypatch):
     assert yielded == [(den, n) for n in range(6) for den in (left, right)]
     # numerator and denominator of 2, 3/2 (left) and 4/3 (right)
     assert len(factored) == 6
+
+
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+def test_the_pair_past_trial_division_proves(monkeypatch, mode):
+    # a = 1000003 * 1000033: log(1 + 1/a) needs the primes of a, whose
+    # product is past the trial-division bound but not the splitter's
+    (a, b) = benchmark_workloads(monkeypatch).DEFECT_PAIR
+    proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=8)
+    assert proof.proved, proof.failure_reason
+    assert 1000003 in proof.base_cases[0][1].terms_dict()
+    assert reverify_proof(proof_from_json(proof_to_json(proof)))
 
 
 def test_each_discovered_pair_is_verified_once(monkeypatch):

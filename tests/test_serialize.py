@@ -2,16 +2,13 @@
 
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import count_calls, random_params, random_poly, random_ratfunc
+from conftest import benchmark_workloads, count_calls, random_params, random_poly, random_ratfunc
 from telescopic import (
     Certificate,
     LogCombination,
@@ -28,6 +25,7 @@ from telescopic import (
     prove_identity,
     reverify_proof,
 )
+from telescopic.integration import PSI_13
 from telescopic.serialize import (
     certificate_from_obj,
     certificate_to_obj,
@@ -148,6 +146,29 @@ def test_proof_from_json_refuses_non_canonical_records(edit):
         proof_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("spelling", ["2/4", "1/-2", "+1", " 1", "1_0", "0x1", "1/0"])
+@pytest.mark.parametrize("field", ["coeff", "constant"])
+def test_proof_from_json_refuses_non_canonical_value_numbers(field, spelling):
+    # the values are read as integers, not through Fraction's parser; a
+    # number read that way is still refused unless it is written canonically
+    obj = json.loads(proof_to_json(prove_identity(ParameterPair(2, 1), extra_n=2)))
+    value = obj["extra_checks"][2]["right"]
+    if field == "coeff":
+        value["terms"][0]["coeff"] = spelling
+    else:
+        value["constant"] = spelling
+    with pytest.raises(ValueError):
+        proof_from_json(json.dumps(obj))
+
+
+def test_logcomb_from_obj_reads_any_spelling_of_a_number():
+    # the decoder reads the number a spelling denotes; refusing the spelling
+    # is the re-encoding check's part, above
+    obj = {"constant": "-6/4", "terms": [{"prime": "3", "coeff": "1/-2"}, {"prime": "2", "coeff": "+2/6"},
+                                         {"prime": "3", "coeff": "1"}, {"prime": "5", "coeff": "0"}]}
+    assert logcomb_from_obj(obj) == LogCombination(Fraction(-3, 2), {2: Fraction(1, 3), 3: Fraction(1, 2)})
+
+
 @pytest.mark.parametrize(
     "text",
     ["[]", "3", "null", "{}", '{"params": {"a": "2", "b": "1"}}'],
@@ -248,25 +269,36 @@ def test_proof_json_golden_digests(a, b, digest, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _benchmark_workloads(monkeypatch):
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("mode", ["verify", "discover"])
 def test_proof_json_is_the_stdlib_encoding(monkeypatch, mode):
-    # the benchmark's pairs at two seeds, then its known-defect pair, whose
-    # record fails with a reason and no recurrence
-    workloads = _benchmark_workloads(monkeypatch)
-    pairs = workloads.prove_pairs(2024) + workloads.prove_pairs(9091) + [workloads.DEFECT_PAIR]
+    # the benchmark's pairs at two seeds, then a pair with a log argument
+    # past the factor splitter's certified range, whose record fails with a
+    # reason: 1/a for a = PSI_13, a product of two primes above 10**12
+    workloads = benchmark_workloads(monkeypatch)
+    past_splitter = (Fraction(PSI_13), Fraction(1))
+    pairs = workloads.prove_pairs(2024) + workloads.prove_pairs(9091) + [past_splitter]
     for a, b in pairs:
         proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=workloads.PROVE_EXTRA_N)
         assert proof_to_json(proof) == json.dumps(proof_to_obj(proof), indent=2) + "\n"
     assert not proof.proved
+
+
+def test_proof_json_writes_unequal_values_apart():
+    # the writer shares the text of equal values only: a record whose last
+    # check differs still writes both sides as the stdlib does
+    proof = prove_identity(ParameterPair(2, 1), extra_n=3)
+    n, left, right = proof.extra_checks[-1]
+    forged = dataclasses.replace(
+        proof,
+        extra_checks=proof.extra_checks[:-1] + ((n, left, right + LogCombination(1)),),
+        failure_reason=f"direct comparison mismatch at n={n}",
+    )
+    for record in (proof, forged):
+        assert proof_to_json(record) == json.dumps(proof_to_obj(record), indent=2) + "\n"
+    entry = json.loads(proof_to_json(forged))["extra_checks"][-1]
+    assert entry["equal"] is False
+    assert logcomb_from_obj(entry["left"]) == left
+    assert logcomb_from_obj(entry["right"]) == right + LogCombination(1)
 
 
 @pytest.mark.parametrize("mode", ["verify", "discover"])
