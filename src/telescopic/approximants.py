@@ -40,6 +40,7 @@ every row, and a guess that falls short widens the precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,9 +58,9 @@ class ApproximantRow:
     n: int
     p: Fraction
     q: Fraction
-    value: mpmath.mpf
-    abs_error: mpmath.mpf
-    empirical_exponent: mpmath.mpf
+    value: numbers.Real
+    abs_error: numbers.Real
+    empirical_exponent: numbers.Real
 
 
 def target_constant(params: ParameterPair) -> LogCombination:
@@ -145,7 +146,7 @@ def _linear_forms(
     forms: list[tuple[int, int, int]],
     cancellation: int,
     precision_bits: int,
-) -> list[mpmath.mpf]:
+) -> list[numbers.Real]:
     """|u * Lambda - v| / w for each form (u, v, w), rounded to precision_bits.
 
     Lambda is evaluated once, at precision_bits + 64 guard bits + the
@@ -236,7 +237,7 @@ def approximant_table(
     return rows
 
 
-def decay_rate_estimate(rows: list[ApproximantRow]) -> mpmath.mpf:
+def decay_rate_estimate(rows: list[ApproximantRow]) -> numbers.Real:
     """Geometric-mean decay ratio of the linear forms |p_n Lambda - q_n|
     (= abs_error_n * p_n) over the last half of the table.
 

@@ -22,7 +22,9 @@ class NonRationalRootError(TelescopicError):
 
 
 class FactorBoundExceededError(TelescopicError):
-    """Trial-division factorization hit its bound without finishing."""
+    """factorize could not certify a factorization: the cofactor left by
+    the primes up to 41 is at or above PSI_13, and trial division up to
+    10**6 leaves a cofactor that it cannot certify prime."""
 
 
 class DivergentIntegralError(TelescopicError):

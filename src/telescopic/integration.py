@@ -15,13 +15,15 @@ this form is unique, so equality of exact integral values is a
 structural comparison of integers — the engine's base-case checks need
 no numerics.
 
-The log arguments are split into primes by split_factors: the primes up
-to 41 are divided out, Pollard's rho splits the cofactor, and each factor
-is certified by strong probable-prime tests to the 13 prime bases 2..41,
-which prove primality below PSI_13 = 3317044064679887385961981 (Sorenson
-and Webster, 2017).  A value whose cofactor is at or above PSI_13 goes
-to factorize, trial division up to a bound, which raises
-FactorBoundExceededError past it.
+Every integer this module factors goes to factorize: the numerators and
+denominators of the log arguments, and the constant and leading
+coefficients whose divisors the rational-root search tries.  It divides out the primes up
+to 41, splits the cofactor by Pollard's rho, and certifies each factor
+by strong probable-prime tests to the 13 prime bases 2..41, which prove
+primality below PSI_13 = 3317044064679887385961981 (Sorenson and
+Webster, 2017).  A value whose cofactor is at or above PSI_13 goes to
+trial division up to 10^6, which raises FactorBoundExceededError when
+its leftover is not certified prime.
 
 One kernel computes the principal part at a root, as a power series in
 integers, and one assembly turns principal parts and a polynomial part
@@ -29,13 +31,13 @@ into a LogCombination.  The poles come from two sources.  For a single
 rational function (integrate_01), one pass finds them: a single gcd
 gives the squarefree part of the denominator, its rational roots are
 found directly, and the Taylor shift of the denominator at each root
-shows that root's multiplicity.  A pole inside [0, 1] is read off those
-roots; only a denominator that does not split over Q is searched for
-real roots there.  For a whole integrand family, _family_integrals
-(behind IntegrandFamily.integrals) finds the roots and the factored
-logs once and carries every member's poles from the last; its
-polynomial part is read off the numerator it expands at the root, with
-no division.  The assembly sums in integers: the polynomial part by
+shows that root's multiplicity.  Whether a pole lies in [0, 1] is
+decided before that search, from the signs of the denominator's
+coefficients or else a Sturm chain.  For a whole integrand family,
+_family_integrals (behind IntegrandFamily.integrals) finds the roots
+and the factored logs once and carries every member's poles from the
+last; its polynomial part is read off the numerator it expands at the
+root, with no division.  The assembly sums in integers: the polynomial part by
 Horner steps over lcm(1..d+1), the poles of order >= 2 at each root
 through one polynomial evaluated by integer Horner steps, and the
 simple poles' log coefficients over one denominator.  Each value is
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -58,72 +61,46 @@ from .errors import (
 from .polynomials import Poly, _to_fraction, has_root_in_unit_interval, poly_gcd
 from .ratfuncs import RatFunc
 
-DEFAULT_FACTOR_BOUND = 10**6
-
 
 # -- integer and rational factorization --------------------------------------
-
-
-# base + step runs over the integers prime to 30 in [base, base + 30)
-_WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)
-
-
-def factorize(value: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division.
-
-    Candidates are 2, 3, 5 and then the integers prime to 30, up to
-    bound.  A leftover cofactor with no divisor <= bound is accepted as
-    prime only when every candidate up to its square root was tried,
-    which certifies primality; otherwise the method's scope is exceeded
-    and an explicit error is raised rather than silently falling back.
-    """
-    if value <= 0:
-        raise ValueError("factorize expects a positive integer")
-    factors: dict[int, int] = {}
-    n = value
-
-    def divide_out(p: int) -> None:
-        nonlocal n
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-
-    for p in (2, 3, 5):
-        if p > bound or p * p > n:
-            break
-        divide_out(p)
-    else:
-        base, limit = 7, min(bound, math.isqrt(n))
-        while base <= limit:
-            # one test per 30 integers: does any candidate of the block divide n?
-            if (n % base and n % (base + 4) and n % (base + 6) and n % (base + 10)
-                    and n % (base + 12) and n % (base + 16) and n % (base + 22)
-                    and n % (base + 24)):
-                base += 30
-                continue
-            for step in _WHEEL:
-                if base + step > limit:
-                    break
-                divide_out(base + step)
-                limit = min(bound, math.isqrt(n))
-            base += 30
-    if n > 1:
-        # every prime below past (the first odd number above bound, or 2)
-        # was tried or exceeds sqrt(n), so n < past^2 certifies n prime
-        past = 2 if bound < 2 else bound + 1 + bound % 2
-        if n >= past * past:
-            raise FactorBoundExceededError(
-                f"factor bound exceeded: {value} has leftover cofactor {n} "
-                f"with no prime divisor <= {bound}"
-            )
-        factors[n] = factors.get(n, 0) + 1
-    return factors
 
 
 # Sorenson and Webster (Math. Comp. 86, 2017): below psi_13, a number that
 # is a strong probable prime to each of the 13 prime bases 2..41 is prime.
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
+
+
+def factorize(value: int) -> dict[int, int]:
+    """Prime factorization of a positive integer, by increasing prime.
+
+    The primes up to 41 are divided out, and the cofactor is split by
+    Pollard's rho (_rho_divisor) until every factor is a strong probable
+    prime to the bases 2..41, which certifies it prime below PSI_13.  When
+    the cofactor is at or above PSI_13, the value goes to trial division
+    (_trial_division), which raises FactorBoundExceededError when it
+    cannot certify the last factor.
+    """
+    if value <= 0:
+        raise ValueError("factorize expects a positive integer")
+    factors: dict[int, int] = {}
+    n = value
+    for p in _SPRP_BASES:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    if n >= PSI_13:
+        return _trial_division(value)
+    pending = [n] if n > 1 else []
+    while pending:
+        n = pending.pop()
+        # no prime <= 41 divides n, so n < 43^2 is prime
+        if n < 43 * 43 or _is_strong_probable_prime(n):
+            factors[n] = factors.get(n, 0) + 1
+        else:
+            d = _rho_divisor(n)
+            pending += [d, n // d]
+    return dict(sorted(factors.items()))
 
 
 def _is_strong_probable_prime(n: int) -> bool:
@@ -175,36 +152,54 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def split_factors(value: int) -> dict[int, int]:
-    """Prime factorization of a positive integer, equal to factorize(value)
-    wherever that succeeds, without trial division past 41.
+_TRIAL_BOUND = 10**6
+# base + step runs over the integers prime to 30 in [base, base + 30)
+_WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)
 
-    The primes up to 41 are divided out, and the cofactor is split by
-    Pollard's rho (_rho_divisor) until every factor is a strong probable
-    prime to the bases 2..41, which certifies it prime below PSI_13.  When
-    the cofactor is at or above PSI_13, the value goes to factorize,
-    whose bound then decides, and whose error is explicit.
+
+def _trial_division(value: int) -> dict[int, int]:
+    """Prime factorization of a positive integer by trial division.
+
+    Candidates are 2, 3, 5 and then the integers prime to 30, up to
+    _TRIAL_BOUND.  A leftover cofactor with no divisor <= _TRIAL_BOUND
+    is accepted as prime only below (_TRIAL_BOUND + 1)^2, where that
+    certifies it; otherwise FactorBoundExceededError is raised.
     """
-    if value <= 0:
-        raise ValueError("split_factors expects a positive integer")
     factors: dict[int, int] = {}
     n = value
-    for p in _SPRP_BASES:
+
+    def divide_out(p: int) -> None:
+        nonlocal n
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    if n >= PSI_13:
-        return factorize(value)
-    pending = [n] if n > 1 else []
-    while pending:
-        n = pending.pop()
-        # no prime <= 41 divides n, so n < 43^2 is prime
-        if n < 43 * 43 or _is_strong_probable_prime(n):
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            d = _rho_divisor(n)
-            pending += [d, n // d]
-    return dict(sorted(factors.items()))
+
+    for p in (2, 3, 5):
+        divide_out(p)
+    base, limit = 7, min(_TRIAL_BOUND, math.isqrt(n))
+    while base <= limit:
+        # one test per 30 integers: does any candidate of the block divide n?
+        if (n % base and n % (base + 4) and n % (base + 6) and n % (base + 10)
+                and n % (base + 12) and n % (base + 16) and n % (base + 22)
+                and n % (base + 24)):
+            base += 30
+            continue
+        for step in _WHEEL:
+            if base + step > limit:
+                break
+            divide_out(base + step)
+            limit = min(_TRIAL_BOUND, math.isqrt(n))
+        base += 30
+    if n > 1:
+        # every prime <= _TRIAL_BOUND was tried or exceeds sqrt(n), so a
+        # composite n has two prime factors above the bound
+        if n >= (_TRIAL_BOUND + 1) ** 2:
+            raise FactorBoundExceededError(
+                f"factor bound exceeded: {value} has leftover cofactor {n} "
+                f"with no prime divisor <= {_TRIAL_BOUND}"
+            )
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 # -- the canonical exact value type -------------------------------------------
@@ -319,8 +314,8 @@ class LogCombination:
 
 def _log_terms(value: Fraction) -> list[tuple[int, int]]:
     """(prime, exponent) pairs with log(value) = sum of exponent * log(prime)."""
-    return list(split_factors(value.numerator).items()) + [
-        (p, -e) for p, e in split_factors(value.denominator).items()
+    return list(factorize(value.numerator).items()) + [
+        (p, -e) for p, e in factorize(value.denominator).items()
     ]
 
 
@@ -332,7 +327,7 @@ def log_of_rational(value: Fraction) -> LogCombination:
     return LogCombination(0, _log_terms(value))
 
 
-def logcomb_to_float(value: LogCombination, precision_bits: int) -> mpmath.mpf:
+def logcomb_to_float(value: LogCombination, precision_bits: int) -> numbers.Real:
     """High-precision real value, correctly rounded to ~precision_bits.
 
     Combinations like p*Lambda - q cancel catastrophically (the whole
@@ -685,23 +680,18 @@ def integrate_01(f: RatFunc) -> LogCombination:
     Simple poles at rational r outside [0, 1] contribute
     coeff * log((1-r)/(-r)), a log of a positive rational, canonicalized
     through prime factorization; everything else contributes rationals.
-    A pole in [0, 1] raises DivergentIntegralError, ahead of the error of
-    a denominator that does not split over Q or whose roots exceed the
-    factor bound.
+    A pole in [0, 1] raises DivergentIntegralError.  It is decided first,
+    by the signs of the denominator's coefficients or else a Sturm chain,
+    so it is reported ahead of any error of the root search: a
+    denominator that does not split over Q, or a root that factorize
+    cannot certify.
     """
     if f.is_zero():
         return LogCombination.zero()
-    try:
-        poly_part, parts = _decompose(f)
-        divergent = any(0 <= part.root <= 1 for part in parts)
-    except (NonRationalRootError, FactorBoundExceededError):
-        # a pole in [0, 1] is reported first, even one the root search missed
-        if not has_root_in_unit_interval(f.den):
-            raise
-        divergent = True
-    if divergent:
+    if has_root_in_unit_interval(f.den):
         raise DivergentIntegralError(
             f"integrand has a pole in [0, 1]: denominator {f.den}"
         )
+    poly_part, parts = _decompose(f)
     rational = _polynomial_integral(poly_part, 0, Fraction(0))
     return _integral_value(rational, parts, lambda root: _log_terms((1 - root) / -root))

@@ -49,10 +49,6 @@ def rational_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def poly_to_obj(p: Poly) -> list[str]:
     return [rational_to_str(c) for c in p.coeffs]
 

@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +31,7 @@ from telescopic import (
     rational_roots,
 )
 from conftest import count_calls, random_params, random_poly
-from telescopic.integration import PSI_13, _is_strong_probable_prime, split_factors
+from telescopic.integration import PSI_13, _is_strong_probable_prime, _trial_division
 
 
 # -- factorization -------------------------------------------------------------
@@ -55,14 +56,23 @@ def test_factorize_random_round_trip():
 
 
 def test_factorize_certifies_leftover_below_bound_squared():
-    # 9973 is prime and above the bound 100, but below 100^2
-    assert factorize(9973, bound=100) == {9973: 1}
+    # at or above PSI_13 trial division up to 10**6 decides: a leftover
+    # prime below (10**6 + 1)**2 is certified
+    assert factorize(43**16) == {43: 16}
+    assert factorize(43**16 * 999999999989) == {43: 16, 999999999989: 1}
+    assert factorize(43**16 * (10**12 + 39)) == {43: 16, 10**12 + 39: 1}
+    assert factorize(2 * 43**15 * 1000003) == {2: 1, 43: 15, 1000003: 1}
 
 
 def test_factorize_bound_exceeded_is_loud():
-    # product of two primes above the bound cannot be certified
-    with pytest.raises(FactorBoundExceededError, match="factor bound exceeded"):
-        factorize(10007 * 10009, bound=100)
+    # PSI_13 = 1287836182261 * 2575672364521 passes the tests to the bases
+    # 2..37; at and above it the bases no longer certify, so trial division
+    # decides, and its bound is exceeded
+    for value in (PSI_13, 2**5 * PSI_13):
+        with pytest.raises(FactorBoundExceededError, match="factor bound exceeded"):
+            factorize(value)
+    # just below, rho certifies what trial division cannot
+    assert factorize(PSI_13 - 2) == {17: 1, 1709: 1, 1366183751: 1, 83570142193: 1}
 
 
 def _odd_step_factorize(value, bound):
@@ -84,13 +94,15 @@ def test_factorize_matches_odd_step_trial_division():
     rng = random.Random(13)
     values = list(range(1, 2500)) + [rng.randint(1, 10**9) for _ in range(300)]
     values += [1000003 * 999983, 7**5 * 1000003, 2 * 150503 * 1534499]
-    for bound in (1, 2, 3, 4, 5, 7, 10, 31, 36, 37, 1000, 10**6):
-        for value in values:
-            try:
-                got = factorize(value, bound)
-            except FactorBoundExceededError:
-                got = "exceeded"
-            assert got == _odd_step_factorize(value, bound), (value, bound)
+    past_psi_13 = [43**16 * (10**12 + 39), 2**5 * PSI_13]
+    for value in values + past_psi_13:
+        try:
+            got = _trial_division(value)
+        except FactorBoundExceededError:
+            got = "exceeded"
+        assert got == _odd_step_factorize(value, 10**6), value
+    for value in values:
+        assert factorize(value) == _odd_step_factorize(value, 10**6), value
 
 
 def test_factorize_rejects_nonpositive():
@@ -98,14 +110,26 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
-# -- the certified factor splitter ------------------------------------------------
-
-
-def test_split_factors_equals_factorize():
+def test_factorize_matches_sympy():
+    # sympy's primes make the products, whose factorization is then known;
+    # factorint is the oracle for the other values
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(1912)
-    values = list(range(1, 2501)) + [rng.randint(1, 10**12) for _ in range(300)]
-    for value in values:
-        assert split_factors(value) == factorize(value), value
+    products = 0  # of 2 to 4 primes below 10**12, of log-uniform size
+    while products < 20:
+        primes = [sympy.nextprime(rng.randint(2, 10 ** rng.randint(2, 11))) for _ in range(rng.randint(2, 4))]
+        if math.prod(primes) < PSI_13:
+            assert factorize(math.prod(primes)) == dict(Counter(primes)), primes
+            products += 1
+    below = list(range(1, 2501)) + [rng.randrange(1, PSI_13) for _ in range(8)]
+    smooth = []  # 10**6-smooth, at or above PSI_13
+    while len(smooth) < 10:
+        value = 1
+        while value < PSI_13:
+            value *= sympy.prevprime(rng.randint(3, 10**6))
+        smooth.append(value)
+    for value in below + smooth:
+        assert factorize(value) == sympy.factorint(value), value
 
 
 @pytest.mark.parametrize(
@@ -121,8 +145,9 @@ def test_split_factors_equals_factorize():
     ],
 )
 def test_split_factors_past_trial_division(value, factors):
-    assert split_factors(value) == factors
-    assert list(split_factors(value)) == sorted(factors)
+    # below PSI_13, factorize splits by rho what trial division cannot
+    assert factorize(value) == factors
+    assert list(factorize(value)) == sorted(factors)
 
 
 @pytest.mark.parametrize(
@@ -134,26 +159,26 @@ def test_split_factors_past_trial_division(value, factors):
 )
 def test_split_factors_sees_through_strong_pseudoprimes(value, factors):
     assert not _is_strong_probable_prime(value)
-    assert split_factors(value) == factors
+    assert factorize(value) == factors
 
 
 def test_split_factors_leaves_psi_13_and_above_to_factorize(monkeypatch):
-    # PSI_13 = 1287836182261 * 2575672364521 passes the tests to the bases
-    # 2..37; at and above it the bases no longer certify, so trial division
-    # decides, and its bound is exceeded
-    calls = count_calls(monkeypatch, "factorize")
-    with pytest.raises(FactorBoundExceededError, match="factor bound exceeded"):
-        split_factors(PSI_13)
-    with pytest.raises(FactorBoundExceededError):
-        split_factors(2**5 * PSI_13)
-    # just below, the splitter certifies what trial division cannot
-    assert split_factors(PSI_13 - 2) == {17: 1, 1709: 1, 1366183751: 1, 83570142193: 1}
-    assert calls["factorize"] == 2
+    # the cofactor left after the primes to 41 decides the route: at or above
+    # PSI_13 trial division, below it rho
+    calls = count_calls(monkeypatch, "_trial_division", "_rho_divisor")
+    for value in (PSI_13, 2**5 * PSI_13):
+        with pytest.raises(FactorBoundExceededError):
+            factorize(value)
+    assert calls == {"_trial_division": 2}
+    assert factorize(PSI_13 - 2) == {17: 1, 1709: 1, 1366183751: 1, 83570142193: 1}
+    assert calls["_trial_division"] == 2
+    assert calls["_rho_divisor"] > 0
 
 
 def test_split_factors_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        split_factors(0)
+    for value in (0, -1, -PSI_13):
+        with pytest.raises(ValueError):
+            factorize(value)
 
 
 # -- LogCombination -------------------------------------------------------------
@@ -372,6 +397,19 @@ def test_rational_roots_random_products():
         assert sorted(r for r, m in found for _ in range(m)) == sorted(roots)
 
 
+# (x + 2)(x + 1000003)(x + 1000033): the constant term 2 * 1000003 * 1000033
+# is past trial division to 10**6, so its divisors need rho
+WIDE_ROOTS = [Fraction(-1000033), Fraction(-1000003), Fraction(-2)]
+
+
+def test_rational_roots_past_trial_division():
+    den = Poly.from_roots(WIDE_ROOTS)
+    assert rational_roots(den) == [(root, 1) for root in WIDE_ROOTS]
+    form = partial_fractions(RatFunc(Poly.one(), den))
+    assert [(term.root, term.multiplicity) for term in form.pole_terms] == [(root, 1) for root in WIDE_ROOTS]
+    assert form.reassemble() == RatFunc(Poly.one(), den)
+
+
 # -- partial fractions -------------------------------------------------------------
 
 
@@ -463,12 +501,22 @@ def test_integral_pole_inside_is_reported_before_a_non_rational_factor():
         # 1/(x^2 - 1/2): the pole 1/sqrt(2) is irrational and inside
         integrate_01(RatFunc(Poly.one(), Poly([Fraction(-1, 2), 0, 1])))
     with pytest.raises(DivergentIntegralError, match="pole in"):
-        # (2x - 1)(x^2 + P): finding the roots exceeds the factor bound
+        # (2x - 1)(x^2 + P): the pole 1/2 is inside, and the quadratic has
+        # no rational root; the divisors of P = 1000003 * 1000033 need rho
         big = 1000003 * 1000033
         integrate_01(RatFunc(Poly.one(), Poly([-1, 2]) * Poly([big, 0, 1])))
     with pytest.raises(NonRationalRootError, match="no rational root"):
         # 1/((x + 2)(x^2 + 2)): no pole in [0, 1], one irrational factor
         integrate_01(RatFunc(Poly.one(), Poly([2, 1]) * x_squared_plus_2))
+
+
+def test_integral_with_roots_past_trial_division():
+    f = RatFunc(Poly.one(), Poly.from_roots(WIDE_ROOTS))
+    expected = LogCombination.zero()
+    for root, _, coeff in partial_fractions(f).pole_terms:
+        expected += coeff * log_of_rational((1 - root) / -root)
+    assert integrate_01(f) == expected
+    assert not expected.is_zero()
 
 
 def test_integral_finds_the_poles_with_one_gcd_and_no_sturm_chain(monkeypatch):

@@ -122,3 +122,41 @@ def test_mpmath_is_loaded_only_where_floats_are_made(code, argv, loads_mpmath):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == str(loads_mpmath)
+
+
+_HINTS = """
+import inspect, sys, typing
+import telescopic
+
+unresolved = []
+for name in telescopic.__all__:
+    obj = getattr(telescopic, name)
+    targets = [obj]
+    if inspect.isclass(obj):
+        for _, member in inspect.getmembers(obj):
+            member = member.fget if isinstance(member, property) else member
+            if inspect.isfunction(member) or inspect.ismethod(member):
+                targets.append(member)
+    for target in targets:
+        if callable(target):
+            try:
+                typing.get_type_hints(target)
+            except Exception as error:
+                unresolved.append(f"{name}: {target.__qualname__}: {error!r}")
+assert not unresolved, unresolved
+assert "mpmath" not in sys.modules
+"""
+
+
+def test_type_hints_of_the_public_names_resolve_without_mpmath():
+    # every annotation resolves in a fresh interpreter, and resolving them
+    # loads no float library: mpmath values are annotated as numbers.Real
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _HINTS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import benchmark_workloads, random_params
+from conftest import benchmark_workloads, count_calls, random_params
 from telescopic import (
     Certificate,
     IntegrandFamily,
@@ -282,8 +282,6 @@ def test_reverify_rejects_relabelled_params():
 def test_each_n_is_integrated_once(monkeypatch):
     # each family is integrated in one pass, n = 0..extra_n, and the logs
     # of its poles are factored once per proof, not once per n
-    import telescopic.integration as integration_module
-
     yielded = []
     integrals = IntegrandFamily.integrals
 
@@ -292,15 +290,8 @@ def test_each_n_is_integrated_once(monkeypatch):
             yielded.append((fam.den, n))
             yield value
 
-    factored = []
-    split_factors = integration_module.split_factors
-
-    def counting_split_factors(value):
-        factored.append(value)
-        return split_factors(value)
-
     monkeypatch.setattr(IntegrandFamily, "integrals", counting_integrals)
-    monkeypatch.setattr(integration_module, "split_factors", counting_split_factors)
+    calls = count_calls(monkeypatch, "factorize")
     params = ParameterPair(2, 1)
     proof = prove_identity(params, extra_n=5)
     assert proof.proved
@@ -309,13 +300,14 @@ def test_each_n_is_integrated_once(monkeypatch):
     left, right = make_left_family(params).den, make_right_family(params).den
     assert yielded == [(den, n) for n in range(6) for den in (left, right)]
     # numerator and denominator of 2, 3/2 (left) and 4/3 (right)
-    assert len(factored) == 6
+    assert calls["factorize"] == 6
 
 
 @pytest.mark.parametrize("mode", ["verify", "discover"])
 def test_the_pair_past_trial_division_proves(monkeypatch, mode):
     # a = 1000003 * 1000033: log(1 + 1/a) needs the primes of a, whose
-    # product is past the trial-division bound but not the splitter's
+    # product is past trial division to 10**6 but below PSI_13, where
+    # factorize splits it by rho
     (a, b) = benchmark_workloads(monkeypatch).DEFECT_PAIR
     proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=8)
     assert proof.proved, proof.failure_reason

@@ -39,7 +39,6 @@ from telescopic.serialize import (
     proof_to_obj,
     ratfunc_from_obj,
     ratfunc_to_obj,
-    rational_from_str,
     rational_to_str,
     recurrence_from_obj,
     recurrence_to_obj,
@@ -50,11 +49,11 @@ def test_rational_strings():
     assert rational_to_str(Fraction(3, 4)) == "3/4"
     assert rational_to_str(Fraction(-5)) == "-5"
     assert rational_to_str(Fraction(6, -4)) == "-3/2"
-    assert rational_from_str("-3/2") == Fraction(-3, 2)
+    assert Fraction("-3/2") == Fraction(-3, 2)
     rng = random.Random(901)
     for _ in range(200):
         value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        assert rational_from_str(rational_to_str(value)) == value
+        assert Fraction(rational_to_str(value)) == value
 
 
 def test_poly_encoding_is_ascending():
@@ -272,11 +271,11 @@ def test_proof_json_golden_digests(a, b, digest, mode):
 @pytest.mark.parametrize("mode", ["verify", "discover"])
 def test_proof_json_is_the_stdlib_encoding(monkeypatch, mode):
     # the benchmark's pairs at two seeds, then a pair with a log argument
-    # past the factor splitter's certified range, whose record fails with a
+    # past factorize's certified range, whose record fails with a
     # reason: 1/a for a = PSI_13, a product of two primes above 10**12
     workloads = benchmark_workloads(monkeypatch)
-    past_splitter = (Fraction(PSI_13), Fraction(1))
-    pairs = workloads.prove_pairs(2024) + workloads.prove_pairs(9091) + [past_splitter]
+    past_psi_13 = (Fraction(PSI_13), Fraction(1))
+    pairs = workloads.prove_pairs(2024) + workloads.prove_pairs(9091) + [past_psi_13]
     for a, b in pairs:
         proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=workloads.PROVE_EXTRA_N)
         assert proof_to_json(proof) == json.dumps(proof_to_obj(proof), indent=2) + "\n"
