@@ -64,6 +64,7 @@ from .serialize import proof_from_json, proof_to_json
 from .telescoping import (
     Certificate,
     Recurrence,
+    closed_form,
     closed_form_certificates,
     closed_form_recurrence,
     discover,
@@ -96,6 +97,7 @@ __all__ = [
     "TelescopicError",
     "ToleranceNotMetError",
     "approximant_table",
+    "closed_form",
     "closed_form_certificates",
     "closed_form_recurrence",
     "decay_rate_estimate",

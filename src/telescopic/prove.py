@@ -10,8 +10,9 @@ equals
 
 The proof assembled here mirrors the classical telescoping argument:
 
-1. both integrand families satisfy the same telescoping relation
-   (verified exactly for every n, one identity in x per power of n);
+1. each family's relation is derived on its own (closed form or ansatz
+   search), the two recurrences must be the same, and each relation is
+   verified exactly for every n (one identity in x per power of n);
 2. the certificate boundary terms vanish at x=0 and x=1 for every n
    (each certificate part is finite and zero at both endpoints, and
    F(n, x) is finite there), so integrating the relation gives one
@@ -60,8 +61,7 @@ from .telescoping import (
     _W,
     Certificate,
     Recurrence,
-    closed_form_certificates,
-    closed_form_recurrence,
+    closed_form,
     discover,
     normalize_pair,
     verify_telescoping,
@@ -242,35 +242,23 @@ def prove_identity(
 ) -> ProofObject:
     """Run the complete pipeline and return a ProofObject.
 
-    mode "verify" instantiates the classical closed-form recurrence and
-    certificates; mode "discover" re-derives them from scratch on each
-    family and requires the two normalized recurrences to coincide.
+    Each family's recurrence and certificate come from `closed_form`
+    (mode "verify") or from `discover` (mode "discover"); the proof
+    fails unless the two recurrences coincide.
     """
     if mode not in ("verify", "discover"):
         raise ValueError(f"mode must be 'verify' or 'discover', got {mode!r}")
     if extra_n < 0:
         raise ValueError("extra_n must be nonnegative")
-    left = make_left_family(params)
-    right = make_right_family(params)
+    left, right = make_left_family(params), make_right_family(params)
     try:
-        if mode == "verify":
-            try:
-                rec = closed_form_recurrence(params)
-            except ValueError:
-                return _unproved(
-                    params,
-                    "degenerate: leading recurrence coefficient (a-b)^2 vanishes",
-                )
-            certs = closed_form_certificates(params)
-        else:
-            rec, left_cert = discover(left, max_order, max_cert_degree)
-            rec_right, right_cert = discover(right, max_order, max_cert_degree)
-            if rec != rec_right:
-                return _unproved(
-                    params, "discovered recurrences differ between the two families"
-                )
-            certs = (left_cert, right_cert)
-        rec, (left_cert, right_cert) = normalize_pair(rec, certs)
+        (rec, left_cert), (rec_right, right_cert) = (
+            closed_form(fam) if mode == "verify" else discover(fam, max_order, max_cert_degree)
+            for fam in (left, right)
+        )
+        if rec != rec_right:
+            return _unproved(params, "recurrences differ between the two families")
+        rec, (left_cert, right_cert) = normalize_pair(rec, (left_cert, right_cert))
     except TelescopicError as exc:
         return _unproved(params, str(exc))
     return _check_sequence(params, left, right, rec, left_cert, right_cert, extra_n)

@@ -19,7 +19,8 @@ refuses a record that their re-encoding does not reproduce (key order
 and `tool_version` aside), so no edited derived entry and no
 non-canonical number passes.  That check is what refuses a
 non-canonical spelling, so the LogCombination decoder reads each number
-as the integers it spells, with no Fraction parse.
+as the integers it spells, with no Fraction parse; it refuses a log
+base that is not prime, which the re-encoding check would pass.
 `proof_to_json` writes the text of `json.dumps(proof_to_obj(p),
 indent=2)` in one recursive pass (the stdlib's indenting encoder is pure
 Python, and took a third of the time), and the text of each checked
@@ -36,7 +37,8 @@ from typing import Callable
 
 from ._version import __version__
 from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
-from .integration import LogCombination
+from .errors import FactorBoundExceededError
+from .integration import LogCombination, factorize
 from .polynomials import Poly
 from .prove import ProofObject
 from .ratfuncs import RatFunc
@@ -89,11 +91,17 @@ def logcomb_to_obj(value: LogCombination) -> dict:
 
 
 def logcomb_from_obj(obj: dict) -> LogCombination:
-    """The value the object spells; each number is read as integers, with
-    no Fraction parse.  A non-canonical spelling is read as the number it
-    denotes, so only the re-encoding check of proof_from_obj refuses it."""
+    """The value the object spells, each number read as integers with no
+    Fraction parse; ValueError for a log base that factorize does not certify
+    prime.  A non-canonical spelling is left to proof_from_obj's check."""
     constant = Fraction(*_ratio_from_str(obj["constant"]))
     terms = [(int(t["prime"]), _ratio_from_str(t["coeff"])) for t in obj["terms"]]
+    for p in {p for p, _ in terms}:
+        try:
+            if p < 2 or factorize(p) != {p: 1}:
+                raise ValueError(f"log base {p} is not a prime")
+        except FactorBoundExceededError as exc:
+            raise ValueError(f"log base {p} is not a certified prime") from exc
     den = math.lcm(*(d for _, (_, d) in terms))
     coeffs: dict[int, int] = {}
     for p, (n, d) in terms:

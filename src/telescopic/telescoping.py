@@ -1,4 +1,4 @@
-"""Creative telescoping: certificate verification and discovery.
+"""Creative telescoping: certificate verification, the closed form and discovery.
 
 A telescoping relation for a family F(n, x) = c(x) * r(x)^n is
 
@@ -24,6 +24,10 @@ The multiplier is nonzero, as w, Q and every D_e are, so the cleared
 identity holds exactly when the rational one does.  Together these
 identities prove the relation for every n, with no n sampled and no gcd.
 
+closed_form writes the relation of any denominator of degree <= 2 from
+two invariants of it, U0 and D0.  The identity's two families share
+U0 = 2ab + a + b and D0 = (a-b)^2, and so their recurrence.
+
 Discovery follows the differentiating-under-the-integral-sign ansatz:
 R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Its columns
 are linear in n, built once per family as polynomials A + n * B, so
@@ -45,8 +49,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .errors import AnsatzExhaustedError
-from .families import IntegrandFamily, ParameterPair
+from .errors import AnsatzExhaustedError, TelescopicError
+from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
 from .polynomials import Poly, _int_primitive
 from .ratfuncs import RatFunc
 
@@ -175,42 +179,40 @@ def verify_telescoping(fam: IntegrandFamily, rec: Recurrence, cert: Certificate)
     return True
 
 
-# -- closed-form recurrence and certificates ----------------------------------
+# -- closed form --------------------------------------------------------------
+
+
+def closed_form(fam: IntegrandFamily) -> tuple[Recurrence, Certificate]:
+    """The telescoping relation of a family whose denominator
+    Q = cx^2 + px + q has degree <= 2, in closed form:
+
+        (n+1) F(n) - (2n+3) U0 F(n+1) + D0 (n+2) F(n+2)  =  d/dx (R F(n)),
+        R = x(x-1) N / Q,   N = (p+c)x^2 + 2qx - q,
+
+    with U0 = p + 2q and D0 = p^2 - 4cq; TelescopicError if D0 = 0,
+    where the leading coefficient vanishes.
+    """
+    if fam.den.degree() > 2:
+        raise ValueError(f"closed form needs a denominator of degree <= 2, not {fam.den}")
+    q, p, c = fam.den[0], fam.den[1], fam.den[2]
+    u0, d0 = p + 2 * q, p * p - 4 * c * q
+    if d0 == 0:
+        raise TelescopicError("degenerate: leading recurrence coefficient (a-b)^2 = p^2 - 4cq vanishes")
+    rec = Recurrence(2, (Poly([1, 1]), Poly([-3 * u0, -2 * u0]), d0 * Poly([2, 1])))
+    # Lowest terms, no gcd: Q(0) Q(1) != 0 as the family converges, and N - Q =
+    # (px + 2q)(x - 1), so only -2q/p could be a common root; there Q = -q D0 / p^2
+    num = _X_TIMES_X_MINUS_1 * Poly([-q, 2 * q, p + c]) * (1 / fam.den.leading_coefficient())
+    return rec, Certificate((RatFunc._reduced(num, fam.cofactor.den),))
 
 
 def closed_form_recurrence(params: ParameterPair) -> Recurrence:
     """(n+1) F(n) - (2n+3)(2ab+a+b) F(n+1) + (a-b)^2 (n+2) F(n+2)."""
-    a, b = params.a, params.b
-    s = 2 * a * b + a + b
-    return Recurrence(
-        2,
-        (
-            Poly([1, 1]),
-            Poly([-3 * s, -2 * s]),
-            (a - b) ** 2 * Poly([2, 1]),
-        ),
-    )
+    return closed_form(make_left_family(params))[0]
 
 
 def closed_form_certificates(params: ParameterPair) -> tuple[Certificate, Certificate]:
-    """The closed-form certificates for the left and right families:
-
-    R1 = x(x-1) ((a+b+1)x^2 + 2abx - ab) / ((x+a)(x+b))
-    R2 = x(x-1) ((a-b)x^2 + 2b(a+1)x - (a+1)b) / ((a-b)x + (a+1)b)
-    """
-    # In lowest terms, so built with no gcd: for a > b > 0 the denominators'
-    # roots are simple and negative, x(x-1) != 0 there, and so is the quadratic:
-    # a(a-b)(a+1) at -a, b(b-a)(b+1) at -b, -k(k/(a-b)+1) at -k/(a-b), k = (a+1)b
-    a, b = params.a, params.b
-    r1 = RatFunc._reduced(
-        _X_TIMES_X_MINUS_1 * Poly([-a * b, 2 * a * b, a + b + 1]),
-        Poly([a * b, a + b, 1]),
-    )
-    r2 = RatFunc._reduced(
-        _X_TIMES_X_MINUS_1 * Poly([-(a + 1) * b / (a - b), 2 * b * (a + 1) / (a - b), 1]),
-        Poly([(a + 1) * b / (a - b), 1]),
-    )
-    return Certificate((r1,)), Certificate((r2,))
+    """The closed-form certificates of the left and right families."""
+    return closed_form(make_left_family(params))[1], closed_form(make_right_family(params))[1]
 
 
 # -- exact nullspace ----------------------------------------------------------

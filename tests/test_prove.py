@@ -238,6 +238,19 @@ def test_prove_identity_degenerate_forged_params():
     assert "(a-b)^2" in proof.failure_reason
 
 
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+def test_recurrences_that_differ_are_refused_before_integration(monkeypatch, mode):
+    # a right family of another pair has other invariants, so another
+    # recurrence: both modes refuse before any check or integration runs
+    import telescopic.prove as prove_module
+
+    other = make_right_family(ParameterPair(3, 1))
+    monkeypatch.setattr(prove_module, "make_right_family", lambda params: other)
+    proof = prove_identity(ParameterPair(2, 1), mode=mode)
+    assert proof.failure_reason == "recurrences differ between the two families"
+    assert proof.base_cases == () and proof.recurrence is None
+
+
 def test_reverify_accepts_good_proof():
     proof = prove_identity(ParameterPair(2, 1), mode="verify", extra_n=2)
     assert reverify_proof(proof)

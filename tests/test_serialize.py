@@ -168,6 +168,37 @@ def test_logcomb_from_obj_reads_any_spelling_of_a_number():
     assert logcomb_from_obj(obj) == LogCombination(Fraction(-3, 2), {2: Fraction(1, 3), 3: Fraction(1, 2)})
 
 
+def test_proof_from_json_refuses_a_log_base_that_is_not_prime():
+    # log 9 = 2 log 3, so every log 3 term rewritten as half a log 9 spells
+    # the same reals; re-encoded as written, only the base check refuses it
+    obj = json.loads(proof_to_json(prove_identity(ParameterPair(2, 1), extra_n=2)))
+    rewritten = 0
+    for entry in obj["base_cases"] + obj["extra_checks"]:
+        for side in ("left", "right"):
+            for term in entry[side]["terms"]:
+                if term["prime"] == "3":
+                    term["prime"] = "9"
+                    term["coeff"] = rational_to_str(Fraction(term["coeff"]) / 2)
+                    rewritten += 1
+    assert rewritten
+    with pytest.raises(ValueError, match="log base 9 is not a prime"):
+        proof_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "base, reason",
+    [("0", "a prime"), ("1", "a prime"), ("-3", "a prime"), ("9", "a prime"),
+     (str(PSI_13), "a certified prime")],
+)
+def test_logcomb_from_obj_refuses_log_bases_that_are_not_prime(base, reason):
+    # PSI_13 is a strong pseudoprime that factorize cannot split
+    obj = {"constant": "0", "terms": [{"prime": base, "coeff": "1"}]}
+    with pytest.raises(ValueError, match=f"log base {base} is not {reason}"):
+        logcomb_from_obj(obj)
+    prime = {"constant": "0", "terms": [{"prime": "999999999989", "coeff": "1"}]}
+    assert logcomb_from_obj(prime) == LogCombination(0, {999999999989: 1})
+
+
 @pytest.mark.parametrize(
     "text",
     ["[]", "3", "null", "{}", '{"params": {"a": "2", "b": "1"}}'],

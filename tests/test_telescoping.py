@@ -1,6 +1,7 @@
-"""Telescoping verification, the exact nullspace solver, and ansatz
-discovery of recurrence/certificate pairs."""
+"""Telescoping verification, the closed form, the exact nullspace solver,
+and ansatz discovery of recurrence/certificate pairs."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,8 @@ from telescopic import (
     Poly,
     RatFunc,
     Recurrence,
+    TelescopicError,
+    closed_form,
     closed_form_certificates,
     closed_form_recurrence,
     discover,
@@ -150,6 +153,71 @@ def test_closed_forms_verify_on_random_pairs():
         for fam, cert in ((make_left_family(params), c1), (make_right_family(params), c2)):
             assert verify_telescoping(fam, rec, cert)
             assert _holds_by_sampling(fam, rec, cert)
+
+
+def _pencil_member(params, p):
+    """The member Q_p = c_p x^2 + p x + q_p of the pencil of denominators
+    with the invariants U0 = p + 2q and D0 = p^2 - 4cq of the pair's families."""
+    a, b = params.a, params.b
+    u0, d0 = 2 * a * b + a + b, (a - b) ** 2
+    q_p = (u0 - p) / 2
+    return IntegrandFamily(Poly([q_p, p, (p * p - d0) / (2 * (u0 - p))]))
+
+
+@pytest.mark.parametrize(
+    "a, b", [(2, 1), (Fraction(7, 2), Fraction(1, 3)), (5, 3), (11, 2)]
+)
+def test_closed_form_on_the_pencil_of_equal_invariants(a, b):
+    # p = a+b is the left family, p = a-b the right one; the rest share only
+    # U0 and D0 with them, and so the recurrence and the integrals
+    params = ParameterPair(a, b)
+    left = make_left_family(params)
+    rec, _ = closed_form(left)
+    expected = list(itertools.islice(left.integrals(), 5))
+    u0 = 2 * params.a * params.b + params.a + params.b
+    for p in (-100, -3, 0, Fraction(1, 2), a - b, a + b, u0 - Fraction(1, 10), 1, 2):
+        fam = _pencil_member(params, Fraction(p))
+        member_rec, cert = closed_form(fam)
+        assert member_rec == rec, p
+        assert verify_telescoping(fam, rec, cert), p
+        assert cert.satisfies_boundary_invariant(), p
+        assert list(itertools.islice(fam.integrals(), 5)) == expected, p
+
+
+def test_closed_form_of_other_invariants_and_refusals():
+    left = make_left_family(ParameterPair(2, 1))  # U0 = 7, D0 = 1
+    other = IntegrandFamily(Poly([3, 1, 1]))  # x^2 + x + 3: U0 = 7, D0 = -11
+    rec, cert = closed_form(other)
+    assert verify_telescoping(other, rec, cert)
+    assert rec != closed_form(left)[0]
+    with pytest.raises(TelescopicError, match=r"degenerate.*\(a-b\)\^2"):
+        closed_form(IntegrandFamily(Poly([1, 2, 1])))  # (x+1)^2: D0 = 0
+    with pytest.raises(ValueError, match="degree <= 2"):
+        closed_form(IntegrandFamily(Poly([1, 1, 1, 1])))
+
+
+def test_closed_form_holds_in_sympy_for_symbolic_coefficients():
+    # the divided identity with c, p, q, n and x all symbolic, and the
+    # closed form of a few denominators read off the same expressions
+    sympy = pytest.importorskip("sympy")
+    c, p, q, n, x = sympy.symbols("c p q n x")
+    den = c * x**2 + p * x + q
+    u0, d0 = p + 2 * q, p**2 - 4 * c * q
+    coeffs = [n + 1, -(2 * n + 3) * u0, d0 * (n + 2)]
+    big_r = x * (x - 1) * ((p + c) * x**2 + 2 * q * x - q) / den
+    r = x * (1 - x) / den
+    log_derivative = sympy.diff(-sympy.log(den) + n * sympy.log(r), x)
+    lhs = sum(ck * r**k for k, ck in enumerate(coeffs))
+    assert sympy.cancel(lhs - sympy.diff(big_r, x) - big_r * log_derivative) == 0
+    for values in ((1, 3, 2), (0, 5, 7), (Fraction(-2, 3), Fraction(9, 4), Fraction(1, 5))):
+        fam = IntegrandFamily(Poly(values[::-1]))
+        subs = {s: sympy.Rational(v.numerator, v.denominator) for s, v in zip((c, p, q), map(Fraction, values))}
+        rec, cert = closed_form(fam)
+        for ck, expr in zip(rec.coeffs, coeffs):
+            assert sympy.expand(_sympy_expr(sympy, ck, n) - expr.subs(subs)) == 0
+        part = cert.parts[0]
+        as_expr = _sympy_expr(sympy, part.num, x) / _sympy_expr(sympy, part.den, x)
+        assert sympy.cancel(as_expr - big_r.subs(subs)) == 0
 
 
 def test_verification_depends_on_large_n_too():
