@@ -22,9 +22,9 @@ class NonRationalRootError(TelescopicError):
 
 
 class FactorBoundExceededError(TelescopicError):
-    """factorize could not certify a factorization: the cofactor left by
-    the primes up to 41 is at or above PSI_13, and trial division up to
-    10**6 leaves a cofactor that it cannot certify prime."""
+    """factorize could not certify a factorization: trial division up to
+    10**6 leaves a cofactor at or above PSI_13, where strong probable-prime
+    tests no longer prove primality."""
 
 
 class DivergentIntegralError(TelescopicError):

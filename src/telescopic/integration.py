@@ -17,13 +17,13 @@ no numerics.
 
 Every integer this module factors goes to factorize: the numerators and
 denominators of the log arguments, and the constant and leading
-coefficients whose divisors the rational-root search tries.  It divides out the primes up
-to 41, splits the cofactor by Pollard's rho, and certifies each factor
-by strong probable-prime tests to the 13 prime bases 2..41, which prove
-primality below PSI_13 = 3317044064679887385961981 (Sorenson and
-Webster, 2017).  A value whose cofactor is at or above PSI_13 goes to
-trial division up to 10^6, which raises FactorBoundExceededError when
-its leftover is not certified prime.
+coefficients whose divisors the rational-root search tries.  Trial
+division takes 2 and the odd numbers up to 41, and goes on up to 10^6
+only while the cofactor is at or above PSI_13 = 3317044064679887385961981.
+Pollard's rho then splits the cofactor, and each factor is certified by
+strong probable-prime tests to the 13 prime bases 2..41, which prove
+primality below PSI_13 (Sorenson and Webster, 2017).  A cofactor still
+at or above PSI_13 past 10^6 raises FactorBoundExceededError.
 
 One kernel computes the principal part at a root, as a power series in
 integers, and one assembly turns principal parts and a polynomial part
@@ -37,11 +37,11 @@ coefficients or else a Sturm chain.  For a whole integrand family,
 _family_integrals (behind IntegrandFamily.integrals) finds the roots
 and the factored logs once and carries every member's poles from the
 last; its polynomial part is read off the numerator it expands at the
-root, with no division.  The assembly sums in integers: the polynomial part by
-Horner steps over lcm(1..d+1), the poles of order >= 2 at each root
-through one polynomial evaluated by integer Horner steps, and the
-simple poles' log coefficients over one denominator.  Each value is
-reduced once, at the end.
+root, with no division.  The assembly sums in integers: the polynomial
+part and the poles of order >= 2 at each root through one power-sum
+kernel, two integer Horner evaluations over lcm(1..J), and the simple
+poles' log coefficients over one denominator.  Each value is reduced
+once, at the end.
 """
 from __future__ import annotations
 
@@ -69,37 +69,43 @@ from .ratfuncs import RatFunc
 # is a strong probable prime to each of the 13 prime bases 2..41 is prime.
 _SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
+_TRIAL_BOUND = 10**6
 
 
 def factorize(value: int) -> dict[int, int]:
     """Prime factorization of a positive integer, by increasing prime.
 
-    The primes up to 41 are divided out, and the cofactor is split by
-    Pollard's rho (_rho_divisor) until every factor is a strong probable
-    prime to the bases 2..41, which certifies it prime below PSI_13.  When
-    the cofactor is at or above PSI_13, the value goes to trial division
-    (_trial_division), which raises FactorBoundExceededError when it
-    cannot certify the last factor.
+    Trial division takes 2 and the odd numbers up to 41, and goes on up to
+    _TRIAL_BOUND only while the cofactor is at or above PSI_13; it stops
+    early once the divisor's square exceeds the cofactor.  Pollard's rho
+    (_rho_divisor) then splits the cofactor until every factor is a strong
+    probable prime to the bases 2..41, which certifies it prime below
+    PSI_13.  FactorBoundExceededError is raised when the cofactor is still
+    at or above PSI_13 past _TRIAL_BOUND.
     """
     if value <= 0:
         raise ValueError("factorize expects a positive integer")
     factors: dict[int, int] = {}
-    n = value
-    for p in _SPRP_BASES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n >= PSI_13:
-        return _trial_division(value)
+    n, d = value, 2
+    while d * d <= n and (d <= 41 or n >= PSI_13):
+        if d > _TRIAL_BOUND:
+            raise FactorBoundExceededError(
+                f"factor bound exceeded: {value} has leftover cofactor {n} "
+                f"with no prime divisor <= {_TRIAL_BOUND}"
+            )
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d = 3 if d == 2 else d + 2
     pending = [n] if n > 1 else []
     while pending:
         n = pending.pop()
-        # no prime <= 41 divides n, so n < 43^2 is prime
-        if n < 43 * 43 or _is_strong_probable_prime(n):
+        # no prime below d divides n, so n < d^2 is prime
+        if n < d * d or _is_strong_probable_prime(n):
             factors[n] = factors.get(n, 0) + 1
         else:
-            d = _rho_divisor(n)
-            pending += [d, n // d]
+            divisor = _rho_divisor(n)
+            pending += [divisor, n // divisor]
     return dict(sorted(factors.items()))
 
 
@@ -152,54 +158,13 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-_TRIAL_BOUND = 10**6
-# base + step runs over the integers prime to 30 in [base, base + 30)
-_WHEEL = (0, 4, 6, 10, 12, 16, 22, 24)
-
-
-def _trial_division(value: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division.
-
-    Candidates are 2, 3, 5 and then the integers prime to 30, up to
-    _TRIAL_BOUND.  A leftover cofactor with no divisor <= _TRIAL_BOUND
-    is accepted as prime only below (_TRIAL_BOUND + 1)^2, where that
-    certifies it; otherwise FactorBoundExceededError is raised.
-    """
-    factors: dict[int, int] = {}
-    n = value
-
-    def divide_out(p: int) -> None:
-        nonlocal n
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-
-    for p in (2, 3, 5):
-        divide_out(p)
-    base, limit = 7, min(_TRIAL_BOUND, math.isqrt(n))
-    while base <= limit:
-        # one test per 30 integers: does any candidate of the block divide n?
-        if (n % base and n % (base + 4) and n % (base + 6) and n % (base + 10)
-                and n % (base + 12) and n % (base + 16) and n % (base + 22)
-                and n % (base + 24)):
-            base += 30
-            continue
-        for step in _WHEEL:
-            if base + step > limit:
-                break
-            divide_out(base + step)
-            limit = min(_TRIAL_BOUND, math.isqrt(n))
-        base += 30
-    if n > 1:
-        # every prime <= _TRIAL_BOUND was tried or exceeds sqrt(n), so a
-        # composite n has two prime factors above the bound
-        if n >= (_TRIAL_BOUND + 1) ** 2:
-            raise FactorBoundExceededError(
-                f"factor bound exceeded: {value} has leftover cofactor {n} "
-                f"with no prime divisor <= {_TRIAL_BOUND}"
-            )
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+def _check_log_base(p: int) -> None:
+    """ValueError unless factorize certifies p prime."""
+    try:
+        if p < 2 or factorize(p) != {p: 1}:
+            raise ValueError(f"log base {p} is not a prime")
+    except FactorBoundExceededError as exc:
+        raise ValueError(f"log base {p} is not a certified prime") from exc
 
 
 # -- the canonical exact value type -------------------------------------------
@@ -214,7 +179,8 @@ class LogCombination:
     den with gcd(den, *c_p) = 1 (den = 1 when there are no logs).  The
     form is unique, so two values are mathematically equal iff their
     fields are, and == and hash compare tuples.  The ``terms`` property
-    builds the reduced (prime, Fraction) pairs on access.
+    builds the reduced (prime, Fraction) pairs on access.  The constructor
+    raises ValueError for a base that factorize does not certify prime.
     """
 
     constant: Fraction
@@ -228,6 +194,8 @@ class LogCombination:
         for prime, coeff in items:
             coeff = _to_fraction(coeff)
             merged[prime] = merged[prime] + coeff if prime in merged else coeff
+        for prime in merged:
+            _check_log_base(prime)
         primes = sorted(p for p, c in merged.items() if c)
         # over the lcm of the reduced denominators, gcd(den, *ints) = 1
         den = math.lcm(*(merged[p].denominator for p in primes))
@@ -324,7 +292,7 @@ def log_of_rational(value: Fraction) -> LogCombination:
     value = _to_fraction(value)
     if value <= 0:
         raise ValueError("log_of_rational requires a positive argument")
-    return LogCombination(0, _log_terms(value))
+    return LogCombination._reduce(Fraction(0), dict(_log_terms(value)), 1)
 
 
 def logcomb_to_float(value: LogCombination, precision_bits: int) -> numbers.Real:
@@ -562,7 +530,7 @@ def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
     (n+1) deg(c.den), so the polynomial part is 0 once deg(c.den) >= 2.
     For a monic c.den = x - root it is the top of the numerator at the
     root, u_(n+1) y^0 + ... + u_(2n) y^(n-1), and for c.den = 1 the whole
-    numerator at 0; _polynomial_integral integrates either with no division.
+    numerator at 0; _power_sum integrates either with no division.
     """
     poles = _split_poles(c.den)
     logs = {root: _log_terms((1 - root) / -root) for root, _, _, _ in poles}
@@ -579,7 +547,10 @@ def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
         ]
         rational = (0, 1)
         if degree < 2:
-            rational = _polynomial_integral(numers[0], degree * (n + 1), points[0])
+            # with i = degree * (n + 1), sum_j u_(i+j) y^j over y = x - point
+            # integrates to sum_j u_(i+j-1) ((1-point)^j - (-point)^j)/j
+            u, v = points[0].numerator, points[0].denominator
+            rational = _power_sum(numers[0]._ints[degree * (n + 1):], (v - u, v), (-u, v), numers[0]._den)
         yield _integral_value(rational, parts, logs.__getitem__)
         powers = [power * shifted for power, (_, _, shifted, _) in zip(powers, poles)]
         numers = [numer * step for numer, step in zip(numers, steps)]
@@ -607,22 +578,17 @@ def partial_fractions(f: RatFunc) -> PartialFractionForm:
 # -- the integral ---------------------------------------------------------------
 
 
-def _polynomial_integral(numer: Poly, start: int, root: Fraction) -> tuple[int, int]:
-    """(num, den) with num/den the integral over [0, 1] of the polynomial
-    sum_j u_(start+j) (x - root)^j, for the coefficients u of numer.
-
-    Over y = x - root it is sum_j u_(start+j-1) ((1-root)^j - (-root)^j)/j,
-    j >= 1: with root = p/q and H(z) = sum_j h_j z^j, h_j = u_(start+j-1)
-    lcm(1..J)/j, that is (q^J H((q-p)/q) - q^J H(-p/q)) / lcm(1..J), two
-    evaluations by integer Horner steps.
-    """
-    ints = numer._ints[start:]
-    lcm = math.lcm(*range(1, len(ints) + 1))
-    h = Poly._reduce([0] + [c * (lcm // j) for j, c in enumerate(ints, 1)], 1)
-    p, q = root.numerator, root.denominator
-    top, scale = h._horner(q - p, q)
-    bottom, _ = h._horner(-p, q)
-    return top - bottom, scale * lcm * numer._den
+def _power_sum(a: list[int], hi: tuple[int, int], lo: tuple[int, int], divisor: int) -> tuple[int, int]:
+    """(num, den) with num/den = sum_j a[j-1] (hi^j - lo^j)/(j divisor) over
+    j = 1..len(a), for hi and lo given as (numerator, denominator): over
+    lcm(1..J), two evaluations by integer Horner steps."""
+    lcm = math.lcm(*range(1, len(a) + 1))
+    h = Poly._reduce([0] + [c * (lcm // j) for j, c in enumerate(a, 1)], 1)
+    top, top_den = h._horner(*hi)
+    bottom, bottom_den = h._horner(*lo)
+    if top_den == bottom_den:
+        return top - bottom, top_den * lcm * divisor
+    return top * bottom_den - bottom * top_den, top_den * bottom_den * lcm * divisor
 
 
 def _integral_value(
@@ -636,20 +602,21 @@ def _integral_value(
     roots with a simple pole.  All sums run in integers.  A simple pole
     contributes its coefficient N/D times each prime exponent of its log;
     the log coefficients share one denominator, and one gcd reduces them
-    at the end.  The poles of order k >= 2 at a root r add the rational
-    G(-1/r) - G(1/(1-r)) with G(z) = sum c_k/(k-1) z^(k-1), by integer
-    Horner steps; a single Fraction is reduced at the end.
+    at the end.  The poles of order k >= 2 at a root r add
+    sum_k c_k ((-1/r)^(k-1) - (1/(1-r))^(k-1))/(k-1), by _power_sum; a
+    single Fraction is reduced at the end.
     """
     num, den = rational
     coeffs: dict[int, int] = {}  # over log_den
     log_den = 1
     for root, scale, gap, ws in parts:
         order = len(ws)
+        pole_den = scale.denominator * gap ** (order - 1)
         if ws[-1]:
-            # the simple-pole coefficient simple / simple_den, over the lcm of the denominators
-            simple, simple_den = scale.numerator * ws[-1], scale.denominator * gap ** (order - 1)
-            common = math.gcd(log_den, simple_den)
-            lift = simple_den // common
+            # the simple-pole coefficient simple / pole_den, over the lcm of the denominators
+            simple = scale.numerator * ws[-1]
+            common = math.gcd(log_den, pole_den)
+            lift = pole_den // common
             if lift > 1:
                 coeffs = {p: c * lift for p, c in coeffs.items()}
             simple *= log_den // common
@@ -657,19 +624,12 @@ def _integral_value(
             for p, e in log_terms(root):
                 coeffs[p] = coeffs.get(p, 0) + simple * e
         if order > 1:
-            # c_k/(k-1) z^(k-1) = scale * ws[t] gap^(j-1) (lcm/j) z^j / (gap^(order-2) lcm)
-            # with j = k - 1 = order - 1 - t
-            lcm = math.lcm(*range(1, order))
-            g, power = [0], 1
-            for j in range(1, order):
-                g.append(ws[order - 1 - j] * power * (lcm // j))
-                power *= gap
-            g = Poly._reduce(g, 1)
+            # c_k = scale * ws[t] / gap^t with k = order - t, so at j = k - 1
+            # c_k/(k-1) z^j = scale.numerator * ws[order-1-j] (gap z)^j / (pole_den * j),
+            # taken at z = -1/r = -v/u and z = 1/(1-r) = v/(v-u)
             u, v = root.numerator, root.denominator
-            acc1, s1 = g._horner(-v, u)  # G(-1/r) = acc1 / s1
-            acc2, s2 = g._horner(v, v - u)  # G(1/(1-r)) = acc2 / s2
-            part_num = scale.numerator * (acc1 * s2 - acc2 * s1)
-            part_den = scale.denominator * (power // gap) * lcm * s1 * s2
+            part_num, part_den = _power_sum(ws[-2::-1], (-gap * v, u), (gap * v, v - u), pole_den)
+            part_num *= scale.numerator
             num, den = num * part_den + part_num * den, den * part_den
     return LogCombination._reduce(Fraction(num, den), coeffs, log_den)
 
@@ -693,5 +653,5 @@ def integrate_01(f: RatFunc) -> LogCombination:
             f"integrand has a pole in [0, 1]: denominator {f.den}"
         )
     poly_part, parts = _decompose(f)
-    rational = _polynomial_integral(poly_part, 0, Fraction(0))
+    rational = _power_sum(poly_part._ints, (1, 1), (0, 1), poly_part._den)
     return _integral_value(rational, parts, lambda root: _log_terms((1 - root) / -root))

@@ -75,7 +75,7 @@ def quad_01(
     Requires tol >= 1e-14 (double precision floor) and f pole-free on
     [0, 1], which is checked exactly before any floating evaluation.
     """
-    if tol < 1e-14:
+    if not tol >= 1e-14:  # false for NaN as well
         raise ValueError("tol must be >= 1e-14")
     if max_subdivisions < 1:
         raise ValueError("max_subdivisions must be positive")

@@ -37,8 +37,7 @@ from typing import Callable
 
 from ._version import __version__
 from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
-from .errors import FactorBoundExceededError
-from .integration import LogCombination, factorize
+from .integration import LogCombination, _check_log_base
 from .polynomials import Poly
 from .prove import ProofObject
 from .ratfuncs import RatFunc
@@ -97,11 +96,7 @@ def logcomb_from_obj(obj: dict) -> LogCombination:
     constant = Fraction(*_ratio_from_str(obj["constant"]))
     terms = [(int(t["prime"]), _ratio_from_str(t["coeff"])) for t in obj["terms"]]
     for p in {p for p, _ in terms}:
-        try:
-            if p < 2 or factorize(p) != {p: 1}:
-                raise ValueError(f"log base {p} is not a prime")
-        except FactorBoundExceededError as exc:
-            raise ValueError(f"log base {p} is not a certified prime") from exc
+        _check_log_base(p)
     den = math.lcm(*(d for _, (_, d) in terms))
     coeffs: dict[int, int] = {}
     for p, (n, d) in terms:

@@ -31,7 +31,7 @@ from telescopic import (
     rational_roots,
 )
 from conftest import count_calls, random_params, random_poly
-from telescopic.integration import PSI_13, _is_strong_probable_prime, _trial_division
+from telescopic.integration import PSI_13, _is_strong_probable_prime
 
 
 # -- factorization -------------------------------------------------------------
@@ -97,12 +97,10 @@ def test_factorize_matches_odd_step_trial_division():
     past_psi_13 = [43**16 * (10**12 + 39), 2**5 * PSI_13]
     for value in values + past_psi_13:
         try:
-            got = _trial_division(value)
+            got = factorize(value)
         except FactorBoundExceededError:
             got = "exceeded"
         assert got == _odd_step_factorize(value, 10**6), value
-    for value in values:
-        assert factorize(value) == _odd_step_factorize(value, 10**6), value
 
 
 def test_factorize_rejects_nonpositive():
@@ -128,7 +126,18 @@ def test_factorize_matches_sympy():
         while value < PSI_13:
             value *= sympy.prevprime(rng.randint(3, 10**6))
         smooth.append(value)
-    for value in below + smooth:
+    # at or above PSI_13, a 10**6-smooth part times a cofactor in [10**12, PSI_13)
+    # with no prime factor <= 10**6: trial division leaves it to rho
+    past = [43**16 * sympy.nextprime(10**7) * sympy.nextprime(10**16)]
+    while len(past) < 6:
+        cofactor = sympy.nextprime(rng.randint(10**6, 10**9)) * sympy.nextprime(rng.randint(10**6, 10**15))
+        if not 10**12 <= cofactor < PSI_13:
+            continue
+        value = cofactor
+        while value < PSI_13:
+            value *= sympy.prevprime(rng.randint(3, 10**6))
+        past.append(value)
+    for value in below + smooth + past:
         assert factorize(value) == sympy.factorint(value), value
 
 
@@ -163,15 +172,14 @@ def test_split_factors_sees_through_strong_pseudoprimes(value, factors):
 
 
 def test_split_factors_leaves_psi_13_and_above_to_factorize(monkeypatch):
-    # the cofactor left after the primes to 41 decides the route: at or above
-    # PSI_13 trial division, below it rho
-    calls = count_calls(monkeypatch, "_trial_division", "_rho_divisor")
+    # rho sees only a cofactor below PSI_13: one that stays at or above it
+    # through trial division to 10**6 is refused before rho
+    calls = count_calls(monkeypatch, "_rho_divisor")
     for value in (PSI_13, 2**5 * PSI_13):
         with pytest.raises(FactorBoundExceededError):
             factorize(value)
-    assert calls == {"_trial_division": 2}
+    assert calls["_rho_divisor"] == 0
     assert factorize(PSI_13 - 2) == {17: 1, 1709: 1, 1366183751: 1, 83570142193: 1}
-    assert calls["_trial_division"] == 2
     assert calls["_rho_divisor"] > 0
 
 
@@ -221,6 +229,18 @@ def test_logcomb_is_immutable():
 def test_logcomb_merges_duplicate_primes():
     v = LogCombination(0, [(2, Fraction(1)), (2, Fraction(-1))])
     assert v.is_zero()
+
+
+@pytest.mark.parametrize(
+    "base, reason",
+    [(0, "a prime"), (1, "a prime"), (-3, "a prime"), (9, "a prime"), (PSI_13, "a certified prime")],
+)
+def test_logcomb_refuses_log_bases_that_are_not_prime(base, reason):
+    # a base that is not prime would break the uniqueness == relies on:
+    # 1 * log(9) and 2 * log(3) are one value
+    with pytest.raises(ValueError, match=f"log base {base} is not {reason}"):
+        LogCombination(0, {base: 1})
+    assert LogCombination(0, {999999999989: 1}).terms_dict() == {999999999989: 1}
 
 
 def test_log_of_rational_four_thirds():

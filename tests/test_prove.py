@@ -33,6 +33,7 @@ from telescopic import (
     verify_substitution_proof,
     verify_telescoping,
 )
+from telescopic.integration import PSI_13
 
 
 # -- boundary vanishing ---------------------------------------------------------
@@ -326,6 +327,28 @@ def test_the_pair_past_trial_division_proves(monkeypatch, mode):
     assert proof.proved, proof.failure_reason
     assert 1000003 in proof.base_cases[0][1].terms_dict()
     assert reverify_proof(proof_from_json(proof_to_json(proof)))
+
+
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+def test_a_pair_with_a_log_argument_past_psi_13_proves(mode):
+    # a = V/(2^k - V), b = 1: the [AR] target is log(1 + (a-b)/((a+1)b)) =
+    # log(V / 2^(k-1)), and V = 43^16 * p * q is past PSI_13 with a 10**6-smooth
+    # part whose cofactor p * q lies in [10**12, PSI_13): trial division to
+    # 10**6 brings it below PSI_13 and rho splits it
+    p, q = 10000019, 10000000000000061
+    value = 43**16 * p * q
+    k = value.bit_length()
+    proof = prove_identity(ParameterPair(Fraction(value, 2**k - value), 1), mode=mode, extra_n=8)
+    assert proof.proved, proof.failure_reason
+    assert {43, p, q} <= set(proof.base_cases[0][1].terms_dict())
+    assert reverify_proof(proof_from_json(proof_to_json(proof)))
+
+
+@pytest.mark.parametrize("mode", ["verify", "discover"])
+def test_a_pair_with_a_log_argument_at_psi_13_fails_loudly(mode):
+    proof = prove_identity(ParameterPair(PSI_13, 1), mode=mode)
+    assert not proof.proved
+    assert proof.failure_reason.startswith("factor bound exceeded")
 
 
 def test_each_discovered_pair_is_verified_once(monkeypatch):

@@ -90,6 +90,13 @@ def test_validates_arguments():
         quad_01(f, max_subdivisions=0)
 
 
+def test_refuses_a_nan_tolerance():
+    # no comparison with NaN holds, so an unchecked NaN would run the whole
+    # panel cap and pass its final tolerance check
+    with pytest.raises(ValueError, match="tol"):
+        quad_01(RatFunc(Poly([0, 1])), tol=float("nan"))
+
+
 def test_tolerance_not_met_carries_best_result():
     f = RatFunc(Poly.one(), Poly([Fraction(1, 1000), 1]))
     with pytest.raises(ToleranceNotMetError, match="tolerance not met") as info:
