@@ -35,6 +35,11 @@ p_N R(N-1) - p_(N-1) R(N), whose second term is the smaller, so
 |R(N-1)| ~ |W| / |p_N| and the last row cancels about
 log2 |q_(N-1) p_N / W| bits.  The cancellation is then measured on
 every row, and a guess that falls short widens the precision.
+
+The float columns run on raw `mpmath.libmp` values: each operation is
+the one libmp call that the same `mpf` arithmetic would make, at the
+same precision and rounding, so the roundings match call for call and
+only a row's three reported values are wrapped as `mpf`.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .serialize import rational_to_str
 from .telescoping import closed_form_recurrence
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApproximantRow:
     """One row: R(n) = p * Lambda - q, so q/p approximates Lambda."""
 
@@ -128,7 +133,8 @@ def _integer_pairs(
     ps, qs = [1, P1.numerator], [0, Q1.numerator]
     rec, _ = closed_form_recurrence(params).normalized()
     for n in range(len(steps) - 2):
-        c0, c1, c2 = (rec.coefficient_at(k, n).numerator for k in range(3))
+        # the normalized coefficients are integers over denominator 1: one integer Horner each
+        c0, c1, c2 = [poly._horner(n, 1)[0] for poly in rec.coeffs]
         # c2 F(n+2) = -c1 F(n+1) - c0 F(n) with F(m) = P_m / K^m, or Q_m / (K^m d_m)
         u, v = -K * c1, -K * K * c0
         e1, e2 = steps[n + 1], steps[n + 2]
@@ -146,8 +152,9 @@ def _linear_forms(
     forms: list[tuple[int, int, int]],
     cancellation: int,
     precision_bits: int,
-) -> list[numbers.Real]:
-    """|u * Lambda - v| / w for each form (u, v, w), rounded to precision_bits.
+) -> list[tuple]:
+    """|u * Lambda - v| / w for each form (u, v, w), as raw libmp values
+    rounded to precision_bits.
 
     Lambda is evaluated once, at precision_bits + 64 guard bits + the
     largest cancellation mag(u * Lambda) - mag(u * Lambda - v) + 8 slack
@@ -155,29 +162,32 @@ def _linear_forms(
     measured on the forms, and when the measurement exceeds the guess,
     the working precision is widened and Lambda evaluated again.
     """
-    import mpmath
+    from mpmath.libmp import from_int, mpf_abs, mpf_div, mpf_mul_int, mpf_sub, round_nearest
 
     while True:
         workbits = precision_bits + 64 + cancellation + 8
-        lam_value = logcomb_to_float(lam, workbits)
+        lam_value = logcomb_to_float(lam, workbits)._mpf_
         differences = []
         worst = 0
-        with mpmath.workprec(workbits):
-            for u, v, _ in forms:
-                product = lam_value * u
-                difference = product - v
-                if not difference:
-                    worst = workbits  # no bit survived: it cancels at least this far
-                    break
-                worst = max(worst, mpmath.mag(product) - mpmath.mag(difference))
-                differences.append(difference)
+        for u, v, _ in forms:
+            product = mpf_mul_int(lam_value, u, workbits, round_nearest)
+            difference = mpf_sub(product, from_int(v), workbits, round_nearest)
+            if not difference[1]:
+                worst = workbits  # no bit survived: it cancels at least this far
+                break
+            # mag(x) of a nonzero raw value (sign, man, exp, bc) is exp + bc
+            worst = max(worst, product[2] + product[3] - difference[2] - difference[3])
+            differences.append(difference)
         # The rounding error of each product is below 2^(mag(product) + 1
         # - workbits); within the guess, |difference| is at least
         # 2^(mag(product) - cancellation - 1), so every difference carries
         # precision_bits + 70 correct bits, however far the guess was off.
         if worst <= cancellation:
-            with mpmath.workprec(precision_bits):
-                return [abs(d / w) for d, (_, _, w) in zip(differences, forms)]
+            prec, rnd = precision_bits, round_nearest
+            return [
+                mpf_abs(mpf_div(d, from_int(w), prec, rnd), prec, rnd)
+                for d, (_, _, w) in zip(differences, forms)
+            ]
         cancellation = worst
 
 
@@ -190,7 +200,9 @@ def approximant_table(
     as |R(n)|/p, which is the same number), and the empirical exponent
     1 + ln(p) / (-ln(abs_error)) with ln(p) as the height proxy.
     """
-    import mpmath
+    from mpmath import mp
+    from mpmath.libmp import finf, from_int, fzero, mpf_abs, mpf_add, mpf_div
+    from mpmath.libmp import mpf_log, mpf_neg, mpf_pos, round_nearest
 
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -222,18 +234,23 @@ def approximant_table(
     W = ps[N - 1] * qs[N] - ps[N] * qs[N - 1] * steps[N]
     guess = qs[N - 1].bit_length() + ps[N].bit_length() + steps[N].bit_length() - W.bit_length()
     linear_forms = _linear_forms(lam, forms, max(guess + 2, 0), precision_bits)
+    # the libmp calls that mpf arithmetic at precision_bits makes, one per operation
+    prec, rnd = precision_bits, round_nearest
     rows: list[ApproximantRow] = []
-    with mpmath.workprec(precision_bits):
-        for n, ((p, q), (u, Q, _), linear_form) in enumerate(zip(pairs, forms, linear_forms)):
-            g = math.gcd(Q, u) if u > 0 else -math.gcd(Q, u)  # q/p = Q / (P d_n) = Q / u
-            value = mpmath.mpf(Q // g) / (u // g)
-            size = abs(mpmath.mpf(p.numerator) / p.denominator)
-            abs_error = linear_form / size
-            if abs_error == 0:
-                exponent = mpmath.inf
-            else:
-                exponent = 1 + mpmath.ln(size) / (-mpmath.ln(abs_error))
-            rows.append(ApproximantRow(n, p, q, +value, +abs_error, +exponent))
+    for n, ((p, q), (u, Q, _), linear_form) in enumerate(zip(pairs, forms, linear_forms)):
+        g = math.gcd(Q, u) if u > 0 else -math.gcd(Q, u)  # q/p = Q / (P d_n) = Q / u
+        value = mpf_div(from_int(Q // g, prec, rnd), from_int(u // g), prec, rnd)
+        size = mpf_div(from_int(p.numerator, prec, rnd), from_int(p.denominator), prec, rnd)
+        size = mpf_abs(size, prec, rnd)
+        abs_error = mpf_div(linear_form, size, prec, rnd)
+        if abs_error == fzero:
+            exponent = finf
+        else:
+            log_size = mpf_log(size, prec, rnd)
+            log_error = mpf_neg(mpf_log(abs_error, prec, rnd), prec, rnd)
+            exponent = mpf_add(mpf_div(log_size, log_error, prec, rnd), from_int(1), prec, rnd)
+        reported = (mp.make_mpf(mpf_pos(x, prec, rnd)) for x in (value, abs_error, exponent))
+        rows.append(ApproximantRow(n, p, q, *reported))
     return rows
 
 

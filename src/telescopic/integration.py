@@ -159,7 +159,9 @@ def _rho_divisor(n: int) -> int:
 
 
 def _check_log_base(p: int) -> None:
-    """ValueError unless factorize certifies p prime."""
+    """ValueError unless p is an int that factorize certifies prime."""
+    if type(p) is not int:
+        raise ValueError(f"log base {p!r} is not an int")
     try:
         if p < 2 or factorize(p) != {p: 1}:
             raise ValueError(f"log base {p} is not a prime")

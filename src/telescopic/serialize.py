@@ -20,7 +20,9 @@ and `tool_version` aside), so no edited derived entry and no
 non-canonical number passes.  That check is what refuses a
 non-canonical spelling, so the LogCombination decoder reads each number
 as the integers it spells, with no Fraction parse; it refuses a log
-base that is not prime, which the re-encoding check would pass.
+base that is not prime, which the re-encoding check would pass.  A
+record decodes each distinct value once, keyed by the strings that
+spell it.
 `proof_to_json` writes the text of `json.dumps(proof_to_obj(p),
 indent=2)` in one recursive pass (the stdlib's indenting encoder is pure
 Python, and took a third of the time), and the text of each checked
@@ -145,11 +147,8 @@ def _checks_to_obj(checks, encode: Callable[[LogCombination], object]) -> list:
     return entries
 
 
-def _checks_from_obj(obj) -> tuple:
-    return tuple(
-        (int(entry["n"]), logcomb_from_obj(entry["left"]), logcomb_from_obj(entry["right"]))
-        for entry in obj
-    )
+def _checks_from_obj(obj, decode: Callable[[dict], LogCombination]) -> tuple:
+    return tuple((int(entry["n"]), decode(entry["left"]), decode(entry["right"])) for entry in obj)
 
 
 def proof_to_obj(proof: ProofObject, encode: Callable[[LogCombination], object] = logcomb_to_obj) -> dict:
@@ -244,6 +243,15 @@ def proof_from_obj(obj: dict) -> ProofObject:
     fields reproduces (module docstring)."""
     if not isinstance(obj, dict):
         raise ValueError(f"proof record must be an object, not {type(obj).__name__}")
+    values: dict[tuple, LogCombination] = {}  # by the strings that spell them
+
+    def decode(value: dict) -> LogCombination:
+        key = (value["constant"], *((t["prime"], t["coeff"]) for t in value["terms"]))
+        decoded = values.get(key)
+        if decoded is None:
+            decoded = values[key] = logcomb_from_obj(value)
+        return decoded
+
     try:
         certs = obj["certificates"]
         proof = ProofObject(
@@ -257,8 +265,8 @@ def proof_from_obj(obj: dict) -> ProofObject:
             right_certificate=(
                 None if certs["right"] is None else certificate_from_obj(certs["right"])
             ),
-            base_cases=_checks_from_obj(obj["base_cases"]),
-            extra_checks=_checks_from_obj(obj["extra_checks"]),
+            base_cases=_checks_from_obj(obj["base_cases"], decode),
+            extra_checks=_checks_from_obj(obj["extra_checks"], decode),
             failure_reason=obj["verdict"].get("reason"),
         )
     except KeyError as exc:

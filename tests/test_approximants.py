@@ -1,7 +1,10 @@
 """Rational approximation tables: span decomposition, error columns,
 decay-rate estimation, and CSV export."""
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -187,6 +190,14 @@ def test_table_matches_reference_on_reference_pair():
         _assert_matches_reference(ParameterPair(2, 1), n_max, 256)
 
 
+@pytest.mark.parametrize("a, K", [(5, 16), (9, 64), (13, 144), (16, 225)])
+def test_table_matches_reference_with_a_normalising_factor(a, K):
+    # approx workload pairs with K > 1, at the workload's largest n_max
+    params = ParameterPair(a, 1)
+    assert telescopic.approximants._normalising_factor(params) == K
+    _assert_matches_reference(params, 229, 256)
+
+
 @pytest.mark.parametrize("precision_bits", [64, 256, 1024])
 def test_table_matches_reference_on_random_pairs(precision_bits):
     rng = random.Random(704)
@@ -323,6 +334,18 @@ def test_table_precision_branches_match_reference(monkeypatch, params, n_max, ev
     assert calls == sorted(set(calls))
     monkeypatch.undo()
     assert rows == _reference_table(params, n_max)
+
+
+def test_table_rows_are_slotted_values():
+    # no instance dict per row; pickling, deep copies and replace still work
+    row = approximant_table(ParameterPair(2, 1), 3)[3]
+    assert not hasattr(row, "__dict__")
+    assert pickle.loads(pickle.dumps(row)) == row
+    assert copy.deepcopy(row) == row
+    moved = dataclasses.replace(row, n=4)
+    assert (moved.n, moved.p, moved.abs_error) == (4, row.p, row.abs_error)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.n = 5
 
 
 def test_table_validates_arguments():

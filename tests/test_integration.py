@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -233,12 +234,14 @@ def test_logcomb_merges_duplicate_primes():
 
 @pytest.mark.parametrize(
     "base, reason",
-    [(0, "a prime"), (1, "a prime"), (-3, "a prime"), (9, "a prime"), (PSI_13, "a certified prime")],
+    [(0, "a prime"), (1, "a prime"), (-3, "a prime"), (9, "a prime"), (PSI_13, "a certified prime"),
+     (3.0, "an int"), (Fraction(3), "an int"), (True, "an int")],
 )
 def test_logcomb_refuses_log_bases_that_are_not_prime(base, reason):
     # a base that is not prime would break the uniqueness == relies on:
-    # 1 * log(9) and 2 * log(3) are one value
-    with pytest.raises(ValueError, match=f"log base {base} is not {reason}"):
+    # 1 * log(9) and 2 * log(3) are one value; nor may 3.0 stand for 3,
+    # which would print as log(3.0) yet compare equal to log(3)
+    with pytest.raises(ValueError, match=re.escape(f"log base {base!r} is not {reason}")):
         LogCombination(0, {base: 1})
     assert LogCombination(0, {999999999989: 1}).terms_dict() == {999999999989: 1}
 

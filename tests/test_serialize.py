@@ -245,6 +245,18 @@ def test_proof_round_trip_and_reverify():
     assert proof_from_json(json.dumps(obj, sort_keys=True)) == proof
 
 
+def test_proof_from_json_decodes_each_distinct_value_once(monkeypatch):
+    # a base case and the extra check at its n, and both sides of a passed
+    # check, record one value; a reader decodes it once
+    text = proof_to_json(prove_identity(ParameterPair(2, 1), extra_n=3))
+    entries = [e for key in ("base_cases", "extra_checks") for e in json.loads(text)[key]]
+    distinct = {json.dumps(e[side], sort_keys=True) for e in entries for side in ("left", "right")}
+    assert len(distinct) < 2 * len(entries)
+    calls = count_calls(monkeypatch, "logcomb_from_obj")
+    assert proof_to_json(proof_from_json(text)) == text
+    assert calls["logcomb_from_obj"] == len(distinct)
+
+
 def test_failed_proof_serializes_with_reason():
     forged = object.__new__(ParameterPair)
     object.__setattr__(forged, "a", Fraction(2))
