@@ -29,16 +29,16 @@ two invariants of it, U0 and D0.  The identity's two families share
 U0 = 2ab + a + b and D0 = (a-b)^2, and so their recurrence.
 
 Discovery follows the differentiating-under-the-integral-sign ansatz:
-R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Its columns
-are linear in n, built once per family as polynomials A + n * B, so
-each trial order and numerator degree asks for the polynomial kernel of
-a matrix pencil.  That kernel is exact linear algebra over Q: one block
-system per degree in n of the solution, tried in increasing degree, with
-no numeric n sampled and no interpolation, and no Fraction per entry:
-the rows are the columns' Poly integers over one common denominator.
-The block system holds the divided identity coefficient by coefficient,
-so a discovered pair satisfies it by construction and is not verified
-again here.
+R(x) = x(x-1) * M(x) / Q(x) with Q the denominator of c.  Each unknown
+multiplies a column A + n * B, and the integer rows of A and B are built
+once per family from the integers of fam.den.  A shape (order, numerator
+degree) is a prefix of its order's columns, so one elimination per order
+at n = 0 rules out every shape without a kernel there.  Each remaining
+shape asks for the polynomial kernel of its pencil: one block system per
+degree in n of the solution, tried in increasing degree, with no n
+sampled and no interpolation.  The block system holds the divided
+identity coefficient by coefficient, so a discovered pair satisfies it
+by construction and is not verified again here.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Sequence
 
 from .errors import AnsatzExhaustedError, TelescopicError
 from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
-from .polynomials import Poly, _int_primitive
+from .polynomials import Poly, _convolve, _int_primitive
 from .ratfuncs import RatFunc
 
 _X_TIMES_X_MINUS_1 = Poly([0, -1, 1])  # x(x-1), the forced certificate factor
@@ -226,11 +226,32 @@ def _int_coeffs(row: Sequence[Fraction | int]) -> list[int]:
     return _int_primitive(list(row))
 
 
+def _echelon(work: list[Sequence[int]], ncols: int) -> list[int]:
+    """Fraction-free elimination of integer rows in place, column by column:
+    the least nonzero entry in absolute value pivots, and the rows below
+    are cross-multiplied and made primitive.  Returns the pivot columns,
+    the i-th that of work[i]; those below k count the rank of the first k."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        candidates = [i for i in range(rank, len(work)) if work[i][col] != 0]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: abs(work[i][col]))
+        work[rank], work[best] = work[best], work[rank]
+        row = work[rank]
+        for i in range(rank + 1, len(work)):
+            if factor := work[i][col]:
+                work[i] = _int_primitive([row[col] * a - factor * b for a, b in zip(work[i], row)])
+        pivots.append(col)
+    return pivots
+
+
 def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Exact basis of the right nullspace via fraction-free elimination.
 
     Rows of Fractions or ints are cleared to primitive integer vectors,
-    eliminated by cross-multiplication and back-substituted in integers,
+    brought to echelon form by _echelon and back-substituted in integers,
     so all intermediate arithmetic stays in Z.  Basis vectors are
     canonical: primitive integer entries with positive first nonzero
     coordinate, one per free column.
@@ -243,34 +264,15 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
     if ncols == 0:
         return []
     work = [_int_coeffs(row) for row in matrix if any(row)]
-    pivots: list[tuple[int, int]] = []  # (row index in work, pivot column)
-    rank = 0
-    for col in range(ncols):
-        candidates = [i for i in range(rank, len(work)) if work[i][col] != 0]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda i: abs(work[i][col]))
-        work[rank], work[best] = work[best], work[rank]
-        pivot_val = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                factor = work[i][col]
-                merged = [
-                    pivot_val * a - factor * b for a, b in zip(work[i], work[rank])
-                ]
-                work[i] = _int_primitive(merged)
-        pivots.append((rank, col))
-        rank += 1
-    pivot_cols = {col for _, col in pivots}
+    pivots = _echelon(work, ncols)
     basis = []
     for free_col in range(ncols):
-        if free_col in pivot_cols:
+        if free_col in pivots:
             continue
         vec = [0] * ncols
         vec[free_col] = 1
-        for row_idx, col in reversed(pivots):
+        for row, col in zip(reversed(work[: len(pivots)]), reversed(pivots)):
             # pivot * v[col] + acc = 0: scale by pivot / g, g = gcd(acc, pivot) signed
-            row = work[row_idx]
             acc, pivot = sum(map(mul, row[col + 1 :], vec[col + 1 :])), row[col]
             g = math.gcd(acc, pivot) if pivot > 0 else -math.gcd(acc, pivot)
             if pivot != g:
@@ -287,65 +289,55 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
 # -- discovery ----------------------------------------------------------------
 
 
-_Pencil = list[tuple[Poly, Poly]]  # columns A_i + n * B_i, as pairs (A_i, B_i)
-
-
-def _ansatz_columns(
-    fam: IntegrandFamily, max_order: int, max_cert_degree: int
-) -> tuple[_Pencil, _Pencil]:
-    """The divided identity's columns for the largest shape, built once.
+def _ansatz_rows(fam: IntegrandFamily, max_order: int, max_cert_degree: int) -> tuple[list, list]:
+    """The integer rows of A and B, row e the x^e coefficients, where each
+    unknown of the divided identity multiplies a column A + n * B.
 
     Unknowns are (c_0 .. c_rho, m_0 .. m_{d-2}) where the certificate is
     R = (m_0 p_0 + m_1 p_1 + ...) / Q with p_j = x(x-1) x^j and Q = den(c),
-    monic.  As F'/F is c'/c + n * r'/r with c = 1/(l Q), r = x(1-x)/(l Q)
-    and l = lc(fam.den), every unknown multiplies a column A + n * B, here
-    in closed form over one common denominator Q^m, m = max(2, rho):
-    c_k has A = (x(1-x)/l)^k Q^(m-k) and B = 0, and m_j has
-    A = -(p_j' Q - 2 p_j Q') Q^(m-2) and B = (p_j Q' - x^j (2x-1) Q) Q^(m-2).
-    A common factor leaves the kernel unchanged; a per-column constant
-    would rescale the unknown, hence the 1/l^k.  A shape (rho, d) takes
-    the first rho + 1 recurrence columns and d - 1 certificate ones.
+    monic.  With fam.den = E / e, E integer, F'/F is c'/c + n * r'/r for
+    c = e/E and r = e w/E.  Cleared by E^m, m = max(2, max_order), c_k has
+    A = (e w)^k E^(m-k) and B = 0, and m_j has B = x^j (g - (2x-1) h) and
+    A = x^j (2g - ((j+2)x - (j+1)) h), h = lc(E) E^(m-1), g = lc(E) (x^2-x) E' E^(m-2).
+    A common factor leaves the kernel unchanged; a per-column one would
+    rescale the unknown, hence the e^k.  The columns are c_0 .. c_max_order,
+    m_0 .. m_{max_cert_degree-2}.
     """
-    q = fam.cofactor.den
-    dq = q.derivative()
-    scale = 1 / fam.den.leading_coefficient()
-    r_num = Poly([0, scale, -scale])  # x(1-x)/l
+    e_ints, e = list(fam.den._ints), fam.den._den
     m = max(2, max_order)
-    rec = [(r_num**k * q ** (m - k), Poly.zero()) for k in range(max_order + 1)]
-    q_rest = q ** (m - 2)
-    cert = []
+    powers = [[1]]  # E^0 .. E^m
+    for _ in range(m):
+        powers.append(_convolve(powers[-1], e_ints))
+    columns, w_k = [], [1]
+    for k in range(max_order + 1):
+        columns.append((_convolve(w_k, powers[m - k]), []))
+        w_k = _convolve(w_k, [0, e, -e])
+    h = [e_ints[-1] * c for c in powers[m - 1]]
+    de = [i * c for i, c in enumerate(e_ints)][1:] or [0]
+    g = [e_ints[-1] * c for c in _convolve(_convolve([0, -1, 1], de), powers[m - 2])]
+    size = max(len(g), len(h) + 1)
+    g, h, x_h = (v + [0] * (size - len(v)) for v in (g, h, [0] + h))
+    b_col = [u + v - 2 * t for u, v, t in zip(g, h, x_h)]
     for j in range(max_cert_degree - 1):
-        x_j = Poly.monomial(1, j)
-        p = _X_TIMES_X_MINUS_1 * x_j
-        a = (2 * p * dq - p.derivative() * q) * q_rest
-        b = (p * dq - x_j * Poly([-1, 2]) * q) * q_rest  # Poly([-1, 2]) = 2x - 1
-        cert.append((a, b))
-    return rec, cert
+        a_col = [2 * u + (j + 1) * v - (j + 2) * t for u, v, t in zip(g, h, x_h)]
+        columns.append(([0] * j + a_col, [0] * j + b_col))
+    nrows = max(len(a) for a, _ in columns)
+    return tuple(list(zip(*(c + [0] * (nrows - len(c)) for c in cols))) for cols in zip(*columns))
 
 
-def _polynomial_kernel(pencil: _Pencil) -> list[Poly] | None:
+def _polynomial_kernel(a_rows: list[tuple], b_rows: list[tuple]) -> list[Poly] | None:
     """A least-degree polynomial vector v(n) != 0 with
     sum_i (A_i + n * B_i) * v_i(n) = 0, as Polys in n; None if there is none.
+    Row e of a_rows (b_rows) holds the x^e coefficients of the A_i (B_i).
 
     A kernel vector of degree D, v(n) = sum_t n^t * v_t, is a kernel
     vector of one block system over Q with one row per coefficient of
     n^s x^e:  sum_i A_i[e] * v_{s,i} + B_i[e] * v_{s-1,i} = 0.  Trying
     D = 0, 1, ... in turn, the first hit has least degree.  By
     Kronecker's theory of singular pencils the least degree is at most
-    the generic rank, below len(pencil), so the loop is exhaustive.
+    the generic rank, below the number of columns, so the loop is exhaustive.
     """
-    width = len(pencil)
-    nrows = max(max(a.degree(), b.degree()) for a, b in pencil) + 1
-    # row e: the x^e coefficients of the A_i (B_i), as integers over one common den
-    den = math.lcm(*(p._den for column in pencil for p in column))
-    a_rows, b_rows = (
-        list(zip(*([c * (den // p._den) for c in p._ints] + [0] * (nrows - len(p)) for p in polys)))
-        for polys in zip(*pencil)
-    )
-    # the rank at one n is at most the generic rank, so no kernel at n = 0
-    # means no kernel at any n
-    if not solve_nullspace(a_rows):
-        return None
+    width = len(a_rows[0])
     pad = (0,) * width
     for degree in range(width):
         # unknown v_{t,i} is column t * width + i: the row of n^s x^e holds B[e]
@@ -388,7 +380,8 @@ def discover(
     """Find a telescoping relation for the family by the ansatz search.
 
     Trial orders and certificate-numerator degrees increase from 1, so
-    the first hit has minimal order.  The returned recurrence is
+    the first hit has minimal order; one elimination per order picks the
+    shapes worth a polynomial kernel.  The returned recurrence is
     normalized (primitive, positive leading coefficient) with the
     certificate scaled to match.  The pair is a kernel vector of the
     divided identity's coefficients in n and x, so it holds for every n
@@ -399,10 +392,16 @@ def discover(
         raise ValueError("max_order must be >= 1")
     if max_cert_degree < 1:
         raise ValueError("max_cert_degree must be >= 1")
-    rec_columns, cert_columns = _ansatz_columns(fam, max_order, max_cert_degree)
+    a_rows, b_rows = _ansatz_rows(fam, max_order, max_cert_degree)
+    top = max_order + 1  # the first certificate column
     for rho in range(1, max_order + 1):
-        for d in range(1, max_cert_degree + 1):
-            polys = _polynomial_kernel(rec_columns[: rho + 1] + cert_columns[: d - 1])
+        a_order, b_order = ([r[: rho + 1] + r[top:] for r in rows] for rows in (a_rows, b_rows))
+        # shape (rho, d) takes the first rho + d columns, with a kernel at n = 0 iff one
+        # is not a pivot; none there means none at any n (rank at n <= generic rank)
+        pivots = _echelon(list(a_order), len(a_order[0]))
+        first_free = next((i for i, col in enumerate(pivots) if i != col), len(pivots))
+        for width in range(max(rho + 1, first_free + 1), rho + max_cert_degree + 1):
+            polys = _polynomial_kernel([r[:width] for r in a_order], [r[:width] for r in b_order])
             if polys is not None:
                 return _assemble(fam, polys, rho)
     raise AnsatzExhaustedError(max_order, max_cert_degree)

@@ -1,11 +1,13 @@
 """Shared helpers: seeded generators for rationals, polynomials, and
-rational functions, and a call counter.  Every randomized test builds
-its own random.Random(seed) so failures reproduce exactly.
+rational functions, the integer rows of a pencil, and a call counter.
+Every randomized test builds its own random.Random(seed) so failures
+reproduce exactly.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import random
 import sys
 from collections import Counter
@@ -49,6 +51,17 @@ def random_ratfunc(rng: random.Random, max_degree: int = 3, bound: int = 9) -> R
     return RatFunc(
         random_poly(rng, max_degree, bound),
         random_poly(rng, max_degree, bound, nonzero=True),
+    )
+
+
+def pencil_rows(pencil) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The A rows and B rows of a pencil of columns A_i + n * B_i given as
+    pairs of Polys, row e the x^e coefficients, as integers over the least
+    common denominator of all the coefficients."""
+    nrows = max(max(a.degree(), b.degree()) for a, b in pencil) + 1
+    den = math.lcm(*(c.denominator for column in pencil for p in column for c in p.coeffs))
+    return tuple(
+        [tuple(int(p[e] * den) for p in polys) for e in range(nrows)] for polys in zip(*pencil)
     )
 
 

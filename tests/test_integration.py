@@ -56,9 +56,10 @@ def test_factorize_random_round_trip():
         assert product == n
 
 
-def test_factorize_certifies_leftover_below_bound_squared():
-    # at or above PSI_13 trial division up to 10**6 decides: a leftover
-    # prime below (10**6 + 1)**2 is certified
+def test_factorize_certifies_a_cofactor_below_psi_13_after_trial_division():
+    # 43**16 keeps the cofactor at or above PSI_13 until trial division
+    # reaches 43; the cofactor left is below PSI_13, so trial division stops
+    # there and the strong probable-prime tests certify it
     assert factorize(43**16) == {43: 16}
     assert factorize(43**16 * 999999999989) == {43: 16, 999999999989: 1}
     assert factorize(43**16 * (10**12 + 39)) == {43: 16, 10**12 + 39: 1}

@@ -311,6 +311,20 @@ def test_proof_json_golden_digests(a, b, digest, mode):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_proof_json_digest_of_the_benchmark_pairs(monkeypatch):
+    # the 120 proof texts of the benchmark's pairs at seeds 2024 and 9091,
+    # each seed in verify mode then in discover mode, concatenated
+    workloads = benchmark_workloads(monkeypatch)
+    digest = hashlib.sha256()
+    for seed in (2024, 9091):
+        pairs = workloads.prove_pairs(seed)
+        for mode in ("verify", "discover"):
+            for a, b in pairs:
+                proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=8)
+                digest.update(proof_to_json(proof).encode())
+    assert digest.hexdigest() == "e4a29cf4ddd7ce64fd023a3d36c8e74b67648ce97429730c2ad8eecddc1bf966"
+
+
 @pytest.mark.parametrize("mode", ["verify", "discover"])
 def test_proof_json_is_the_stdlib_encoding(monkeypatch, mode):
     # the benchmark's pairs at two seeds, then a pair with a log argument

@@ -9,7 +9,7 @@ from functools import reduce
 
 import pytest
 
-from conftest import random_params
+from conftest import count_calls, pencil_rows, random_params
 from telescopic import (
     AnsatzExhaustedError,
     Certificate,
@@ -30,7 +30,7 @@ from telescopic import (
     solve_nullspace,
     verify_telescoping,
 )
-from telescopic.telescoping import _ansatz_columns, _polynomial_kernel
+from telescopic.telescoping import _ansatz_rows, _polynomial_kernel
 
 
 def classical_pair(params):
@@ -459,6 +459,18 @@ def _per_sample_matrix(per_sample_columns, rho, d):
     return [[p[e] for p in polys] for e in range(max(p.degree() for p in polys) + 1)]
 
 
+def _shape_rows(fam, rho, d):
+    """The A rows and B rows of shape (rho, d), cut from the rows that
+    _ansatz_rows builds for (max_order, max_cert_degree) = (2, 4)."""
+    columns = [*range(rho + 1), *range(3, 2 + d)]
+    return tuple([tuple(row[i] for i in columns) for row in rows] for rows in _ansatz_rows(fam, 2, 4))
+
+
+def _pencil(a_rows, b_rows):
+    """The columns A_i + n * B_i of the rows, as pairs of Polys (A_i, B_i)."""
+    return [(Poly(a), Poly(b)) for a, b in zip(zip(*a_rows), zip(*b_rows))]
+
+
 def test_shared_columns_give_the_per_sample_kernels():
     rng = random.Random(407)
     families = [IntegrandFamily(Poly.one())]
@@ -466,15 +478,13 @@ def test_shared_columns_give_the_per_sample_kernels():
         params = random_params(rng, bound=15)
         families += [make_left_family(params), make_right_family(params)]
     for fam in families:
-        rec_columns, cert_columns = _ansatz_columns(fam, 2, 4)
         for n in range(9):
             reference = _per_sample_columns(fam, n)
             for rho in range(3):
                 for d in range(1, 5):
-                    pencil = rec_columns[: rho + 1] + cert_columns[: d - 1]
-                    polys = [a + n * b for a, b in pencil]
-                    nrows = max(p.degree() for p in polys) + 1
-                    basis = solve_nullspace([[p[e] for p in polys] for e in range(nrows)])
+                    a_rows, b_rows = _shape_rows(fam, rho, d)
+                    rows = [[u + n * v for u, v in zip(a, b)] for a, b in zip(a_rows, b_rows)]
+                    basis = solve_nullspace(rows)
                     expected = solve_nullspace(_per_sample_matrix(reference, rho, d))
                     assert basis == expected
                     if (rho, d) == (2, 4):
@@ -505,16 +515,16 @@ def test_polynomial_kernel_of_the_l2_block():
     # columns n, nx - 1, -x: the kernel (1, n, n^2) has degree 2, which no
     # shape of a natural family reaches
     pencil = [(Poly.zero(), Poly.one()), (Poly([-1]), _X), (-_X, Poly.zero())]
-    assert _polynomial_kernel(pencil) == [Poly([1]), Poly([0, 1]), Poly([0, 0, 1])]
+    assert _polynomial_kernel(*pencil_rows(pencil)) == [Poly([1]), Poly([0, 1]), Poly([0, 0, 1])]
     assert not _has_kernel_of_degree(pencil, 1)
 
 
 def test_polynomial_kernel_of_a_full_rank_pencil_is_none():
     # 1 and x are independent at n = 0 already
-    assert _polynomial_kernel([(Poly.one(), Poly.zero()), (_X, Poly.one())]) is None
+    assert _polynomial_kernel(*pencil_rows([(Poly.one(), Poly.zero()), (_X, Poly.one())])) is None
     # 1 and n x are dependent at n = 0 only, so every degree is tried
     pencil = [(Poly.one(), Poly.zero()), (Poly.zero(), _X)]
-    assert _polynomial_kernel(pencil) is None
+    assert _polynomial_kernel(*pencil_rows(pencil)) is None
     assert not _has_kernel_of_degree(pencil, 1)
 
 
@@ -550,11 +560,10 @@ def test_polynomial_kernel_matches_the_fraction_row_reference():
             params = random_params(rng, bound)
             families += [make_left_family(params), make_right_family(params)]
     for fam in families:
-        rec_columns, cert_columns = _ansatz_columns(fam, 2, 4)
         for rho in range(3):
             for d in range(1, 5):
-                pencil = rec_columns[: rho + 1] + cert_columns[: d - 1]
-                assert _polynomial_kernel(pencil) == _fraction_row_kernel(pencil)
+                a_rows, b_rows = _shape_rows(fam, rho, d)
+                assert _polynomial_kernel(a_rows, b_rows) == _fraction_row_kernel(_pencil(a_rows, b_rows))
 
 
 def test_polynomial_kernel_is_a_least_degree_kernel_vector():
@@ -565,11 +574,11 @@ def test_polynomial_kernel_is_a_least_degree_kernel_vector():
         families += [make_left_family(params), make_right_family(params)]
     degrees = []
     for fam in families:
-        rec_columns, cert_columns = _ansatz_columns(fam, 2, 4)
         for rho in range(3):
             for d in range(1, 5):
-                pencil = rec_columns[: rho + 1] + cert_columns[: d - 1]
-                polys = _polynomial_kernel(pencil)
+                a_rows, b_rows = _shape_rows(fam, rho, d)
+                pencil = _pencil(a_rows, b_rows)
+                polys = _polynomial_kernel(a_rows, b_rows)
                 if polys is None:
                     assert not _has_kernel_of_degree(pencil, len(pencil) - 1)
                     continue
@@ -637,6 +646,16 @@ def test_discover_builds_its_columns_once_per_family(monkeypatch):
     monkeypatch.setattr(RatFunc, "__init__", counting_init)
     discover(fam)
     assert count <= 150
+
+
+def test_discover_runs_one_elimination_per_order(monkeypatch):
+    # orders 1 and 2 take one elimination each, which rules out every shape
+    # but (2, 4); that shape's block systems of degree 0 and 1 take two more.
+    # An n = 0 elimination per shape would make 10
+    calls = count_calls(monkeypatch, "_echelon", "solve_nullspace")
+    discover(make_left_family(ParameterPair(2, 1)), max_order=2, max_cert_degree=4)
+    assert calls["solve_nullspace"] == 2
+    assert calls["_echelon"] <= 4
 
 
 def test_discover_exhausts_below_true_order():
