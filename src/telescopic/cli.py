@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 proof/verification failure, 2 usage error.
 Rational arguments accept "p/q" and decimal strings; decimals convert
 exactly (0.5 -> 1/2), so no floating contamination enters the exact
 pipeline.  All output is deterministic for a fixed configuration.
+Without --out, `prove` writes its proof record to standard output and
+its summary to standard error, so the output parses as JSON.
 """
 
 from __future__ import annotations
@@ -111,28 +113,29 @@ def cmd_prove(params: ParameterPair, args: argparse.Namespace) -> int:
         max_order=args.max_order,
         max_cert_degree=args.max_cert_degree,
     )
-    print(f"params: a={params.a}, b={params.b}  mode: {args.mode}")
+    report = sys.stderr if args.out is None else sys.stdout  # keep stdout for the record
+    print(f"params: a={params.a}, b={params.b}  mode: {args.mode}", file=report)
     if proof.recurrence is not None:
-        print(f"recurrence coefficients (in n): {proof.recurrence.to_str()}")
+        print(f"recurrence coefficients (in n): {proof.recurrence.to_str()}", file=report)
     if proof.left_certificate is not None:
-        print(f"left certificate:  {proof.left_certificate.at(0)}")
+        print(f"left certificate:  {proof.left_certificate.at(0)}", file=report)
     if proof.right_certificate is not None:
-        print(f"right certificate: {proof.right_certificate.at(0)}")
+        print(f"right certificate: {proof.right_certificate.at(0)}", file=report)
     for n, left, right in proof.base_cases:
         mark = "==" if left == right else "!="
-        print(f"base case n={n}: left = {left}  {mark}  right = {right}")
+        print(f"base case n={n}: left = {left}  {mark}  right = {right}", file=report)
     checks = proof.extra_checks
     unequal = [n for n, left, right in checks if left != right]
     if checks:
         status = "all equal" if not unequal else f"unequal at n = {unequal}"
-        print(f"direct left/right comparisons: n = 0..{checks[-1][0]}, {status}")
+        print(f"direct left/right comparisons: n = 0..{checks[-1][0]}, {status}", file=report)
     # the substitution check runs only once every direct comparison holds
     if checks and checks[-1][0] == args.n_max and not unequal:
-        print(f"substitution check (all n): {'pass' if proof.proved else 'FAIL'}")
+        print(f"substitution check (all n): {'pass' if proof.proved else 'FAIL'}", file=report)
     if proof.proved:
-        print("verdict: proved")
+        print("verdict: proved", file=report)
     else:
-        print(f"verdict: failed — {proof.failure_reason}")
+        print(f"verdict: failed — {proof.failure_reason}", file=report)
     _emit(serialize.proof_to_json(proof), args.out)
     return 0 if proof.proved else 1
 

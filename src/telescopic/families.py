@@ -15,7 +15,9 @@ integrals converge), so c, r and each F(n, x) are in lowest terms as built.
 IntegrandFamily.integrals yields the exact integrals I(0), I(1), ... from
 one pass of the integration module's family loop over c and r: the roots
 of Q and their factored logs are found once, and each member's principal
-parts are read off polynomials that go from n to n + 1 by one product.
+parts are the Taylor coefficients of one integer series per root, which
+satisfy a short linear recurrence: O(m(n+1)) integer products for a root
+of multiplicity m, where a series division would take O(m^2 (n+1)^2).
 """
 
 from __future__ import annotations

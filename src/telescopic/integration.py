@@ -25,32 +25,35 @@ strong probable-prime tests to the 13 prime bases 2..41, which prove
 primality below PSI_13 (Sorenson and Webster, 2017).  A cofactor still
 at or above PSI_13 past 10^6 raises FactorBoundExceededError.
 
-One kernel computes the principal part at a root, as a power series in
-integers, and one assembly turns principal parts and a polynomial part
-into a LogCombination.  The poles come from two sources.  For a single
-rational function (integrate_01), one pass finds them: a single gcd
-gives the squarefree part of the denominator, its rational roots are
-found directly, and the Taylor shift of the denominator at each root
-shows that root's multiplicity.  Whether a pole lies in [0, 1] is
-decided before that search, from the signs of the denominator's
-coefficients or else a Sturm chain.  For a whole integrand family,
-_family_integrals (behind IntegrandFamily.integrals) finds the roots
-and the factored logs once and carries every member's poles from the
-last; its polynomial part is read off the numerator it expands at the
-root, with no division.  The assembly sums in integers: the polynomial
-part and the poles of order >= 2 at each root through one power-sum
-kernel, two integer Horner evaluations over lcm(1..J), and the simple
-poles' log coefficients over one denominator.  Each value is reduced
-once, at the end.
+One assembly turns principal parts and a polynomial part into a
+LogCombination.  The principal parts come from two sources.  For a
+single rational function (integrate_01), one pass finds the poles: a
+single gcd gives the squarefree part of the denominator, its rational
+roots are found directly, and the Taylor shift of the denominator at
+each root shows that root's multiplicity; one kernel then computes each
+principal part as a power series in integers, with O(M^2) products for
+a pole of order M.  Whether a pole lies in [0, 1] is decided before
+that search, from the signs of the denominator's coefficients or else a
+Sturm chain.  For a whole integrand family, _family_integrals (behind
+IntegrandFamily.integrals) finds the roots, their gaps and the factored
+logs once.  Each member is hyperexponential, so at each root its
+principal part, and its polynomial part when the denominator has degree
+<= 1, are the Taylor coefficients of an integer series that a short
+linear recurrence gives with O(M) integer products.  The assembly sums
+in integers: the polynomial part and the poles of order >= 2 at each
+root through one power-sum kernel, two integer Horner evaluations over
+lcm(1..J), and the simple poles' log coefficients over one denominator.
+Each value is reduced once, at the end.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
@@ -58,7 +61,7 @@ from .errors import (
     FactorBoundExceededError,
     NonRationalRootError,
 )
-from .polynomials import Poly, _to_fraction, has_root_in_unit_interval, poly_gcd
+from .polynomials import Poly, _convolve, _to_fraction, has_root_in_unit_interval, poly_gcd
 from .ratfuncs import RatFunc
 
 
@@ -515,47 +518,99 @@ def _decompose(f: RatFunc) -> tuple[Poly, list[PrincipalPart]]:
     ]
 
 
+def _taylor_coefficients(d: list[int], e: list[int], h0: int, count: int) -> list[int]:
+    """h_0, ..., h_(count-1) of the integer power series h with D h' = E h
+    and h(0) = h0, for integer coefficient lists d and e, len(d) = len(e) + 1
+    and d[0] != 0.  The z^t coefficient of D h' - E h gives
+        d_0 (t + 1) h_(t+1) = sum_j (e_j - (t - j) d_(j+1)) h_(t-j),
+    one exact division per coefficient: ArithmeticError if it leaves a
+    remainder, that is if h is not integral."""
+    slope = d[1:]
+    # row t holds the multipliers e_j - (t - j) d_(j+1) of h_(t-j), j = 0, 1, ...
+    rows = zip(*[itertools.count(x + j * y, -y) for j, (x, y) in enumerate(zip(e, slope))])
+    width, lead = len(slope), d[0]
+    h = [h0]
+    divisor = 0  # d_0 (t + 1)
+    for t, row in zip(range(count - 1), rows):
+        divisor += lead
+        step, remainder = divmod(sum(map(mul, row, h[: -width - 1 : -1])), divisor)
+        if remainder:
+            raise ArithmeticError(f"Taylor coefficient {t + 1} is not an integer")
+        h.append(step)
+    return h
+
+
 def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
     """The exact integrals over [0, 1] of c * r^n, for n = 0, 1, 2, ...
-    (IntegrandFamily.integrals), where the cofactor c has a constant
-    numerator and the ratio r has the same monic denominator.
+    (IntegrandFamily.integrals), where the cofactor c = C/Q has a constant
+    numerator and the ratio r = lam x(1-x)/Q the same monic denominator.
 
-    Equal to integrate_01(c * r^n), from data found once: c.den^(n+1)
-    has the roots of c.den, with multiplicities m(n+1), and its shift at
-    a root is c.den(y + root)^(n+1).  A principal part of order m(n+1)
-    reads its numerator only modulo y^(m(n+1)), so the numerator can be
-    c.num(y + root) * r.num(y + root)^n rather than the shifted remainder
-    of the division.  Every polynomial goes from n to n+1 by one
-    multiplication by an n-free one.
+    Equal to integrate_01(c * r^n), from data found once: the roots of Q,
+    their gaps (_split_poles) and their factored logs.  At a root R = u/v
+    of multiplicity m, the principal part of order m(n+1) reads the
+    Taylor coefficients of c r^n y^(m(n+1)) in y = x - R.  With y = gap z
+    that is scale * h(z), for
+        h(z) = V(z)^n prod_rho (1 + beta_rho z)^(-k_rho),
+        V(z) = (u + v gap z)(v - u - v gap z),
+        beta_rho = gap/(R - rho),  k_rho = m_rho (n+1),
+    over the other roots rho, and scale = C lam^n/(v^(2n) prod (R - rho)^k_rho).
+    gap is a multiple of each numerator of R - rho, so every beta_rho is an
+    integer, and h has integer coefficients.  Its logarithmic derivative is
+    n V'/V - sum k_rho beta_rho/(1 + beta_rho z), so D h' = E h with
+        D = V prod (1 + beta_rho z),
+        E = n V' prod (1 + beta_rho z)
+            - V sum_rho k_rho beta_rho prod_(sigma != rho) (1 + beta_sigma z),
+    and _taylor_coefficients finds each member's h with O(m(n+1)) integer
+    products: D-finite series have P-recursive coefficients (Stanley, 1980).
+    V(0) = u(v - u) is nonzero, as no root lies in [0, 1].
 
-    The numerator c.num * r.num^n has degree 2n and c.den^(n+1) degree
-    (n+1) deg(c.den), so the polynomial part is 0 once deg(c.den) >= 2.
-    For a monic c.den = x - root it is the top of the numerator at the
-    root, u_(n+1) y^0 + ... + u_(2n) y^(n-1), and for c.den = 1 the whole
-    numerator at 0; _power_sum integrates either with no division.
+    The numerator has degree 2n and Q^(n+1) degree (n+1) deg(Q), so the
+    polynomial part is 0 once deg(Q) >= 2.  For Q = x - R it is
+    sum_(n < t <= 2n) scale h_t y^(t-n-1) (gap = 1), and for Q = 1 the same
+    series expanded at R = -1 gives the whole numerator; _power_sum
+    integrates either with no division.
     """
+    lam = r.num[1]
     poles = _split_poles(c.den)
     logs = {root: _log_terms((1 - root) / -root) for root, _, _, _ in poles}
-    # the numerator is expanded at each root, or at 0 when c.den = 1
-    points = [root for root, _, _, _ in poles] or [Fraction(0)]
-    steps = [r.num.shift(point) for point in points]
-    powers = [shifted for _, _, shifted, _ in poles]  # c.den(y + root)^(n+1)
-    numers = [c.num] * len(points)  # c.num is constant: c.num * steps^n
     degree = c.den.degree()
+    # the series is expanded at each root, or at -1 when Q = 1
+    points = [(root, mult, gap) for root, mult, _, gap in poles] or [(Fraction(-1), 0, 1)]
+    series, scales, steps = [], [], []
+    for root, _, gap in points:
+        u, v = root.numerator, root.denominator
+        others = [(root - rho, m) for rho, m, _, _ in poles if rho != root]  # (R - rho, m_rho)
+        betas = [gap * diff.denominator // diff.numerator for diff, _ in others]
+        factors = [[1, beta] for beta in betas]
+        linear = functools.reduce(_convolve, factors, [1])  # prod (1 + beta z)
+        vee = [u * (v - u), v * gap * (v - 2 * u), -((v * gap) ** 2)]
+        d = _convolve(vee, linear)
+        a1 = _convolve([vee[1], 2 * vee[2]], linear)  # V' prod (1 + beta z)
+        a2 = [0] * (len(d) - 1)  # V sum m_rho beta_rho prod_(sigma != rho) (1 + beta_sigma z)
+        for i, ((_, m), beta) in enumerate(zip(others, betas)):
+            rest = functools.reduce(_convolve, factors[:i] + factors[i + 1 :], [m * beta])
+            a2 = list(map(add, a2, _convolve(vee, rest)))
+        series.append((d, a1, a2))
+        base = math.prod(diff**m for diff, m in others)
+        scales.append(c.num[0] / base)
+        steps.append(lam / (v * v * base))
     for n in itertools.count():
-        parts = [
-            _principal_part(root, mult * (n + 1), power, numer, gap)
-            for (root, mult, _, gap), power, numer in zip(poles, powers, numers)
-        ]
+        parts = []
         rational = (0, 1)
-        if degree < 2:
-            # with i = degree * (n + 1), sum_j u_(i+j) y^j over y = x - point
-            # integrates to sum_j u_(i+j-1) ((1-point)^j - (-point)^j)/j
-            u, v = points[0].numerator, points[0].denominator
-            rational = _power_sum(numers[0]._ints[degree * (n + 1):], (v - u, v), (-u, v), numers[0]._den)
+        for (root, mult, gap), (d, a1, a2), scale in zip(points, series, scales):
+            order = mult * (n + 1)
+            e = [n * x - (n + 1) * y for x, y in zip(a1, a2)]
+            h = _taylor_coefficients(d, e, d[0] ** n, 2 * n + 1 if degree < 2 else order)
+            if order:
+                parts.append(PrincipalPart(root, scale, gap, h[:order]))
+            if degree < 2:
+                # sum_(t >= order) h_t y^(t-order) over y = x - R integrates
+                # to sum_j h_(order+j-1) ((1-R)^j - (-R)^j)/j
+                u, v = root.numerator, root.denominator
+                num, den = _power_sum(h[order : 2 * n + 1], (v - u, v), (-u, v), scale.denominator)
+                rational = (num * scale.numerator, den)
         yield _integral_value(rational, parts, logs.__getitem__)
-        powers = [power * shifted for power, (_, _, shifted, _) in zip(powers, poles)]
-        numers = [numer * step for numer, step in zip(numers, steps)]
+        scales = [scale * step for scale, step in zip(scales, steps)]
 
 
 def partial_fractions(f: RatFunc) -> PartialFractionForm:

@@ -26,7 +26,8 @@ spell it.
 `proof_to_json` writes the text of `json.dumps(proof_to_obj(p),
 indent=2)` in one recursive pass (the stdlib's indenting encoder is pure
 Python, and took a third of the time), and the text of each checked
-value once, however many entries record it.
+value once, however many entries record it, straight from the value's
+integers.
 """
 
 from __future__ import annotations
@@ -217,6 +218,21 @@ def _to_json(value, indent: str = "") -> str:
     return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
 
 
+def _logcomb_to_json(value: LogCombination, indent: str) -> str:
+    """_to_json(logcomb_to_obj(value), indent), written from the value's
+    integers: no digit, sign or slash needs escaping."""
+    inner, term, field = indent + "  ", indent + "    ", indent + "      "
+    head = f'{{\n{inner}"constant": "{rational_to_str(value.constant)}",\n{inner}"terms": '
+    if not value._primes:
+        return f"{head}[]\n{indent}}}"
+    den = value._den
+    terms = f",\n{term}".join(
+        f'{{\n{field}"prime": "{p}",\n{field}"coeff": "{_ratio_to_str(c, den)}"\n{term}}}'
+        for p, c in zip(value._primes, value._ints)
+    )
+    return f"{head}[\n{term}{terms}\n{inner}]\n{indent}}}"
+
+
 def proof_to_json(proof: ProofObject) -> str:
     """json.dumps(proof_to_obj(proof), indent=2) + "\n", with the text of
     each checked value written once: a base case is the same object as the
@@ -226,7 +242,7 @@ def proof_to_json(proof: ProofObject) -> str:
     def encode(value: LogCombination) -> _Text:
         text = texts.get(id(value))
         if text is None:
-            text = texts[id(value)] = _Text(_to_json(logcomb_to_obj(value), _VALUE_INDENT))
+            text = texts[id(value)] = _Text(_logcomb_to_json(value, _VALUE_INDENT))
         return text
 
     return _to_json(proof_to_obj(proof, encode)) + "\n"

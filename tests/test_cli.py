@@ -31,13 +31,23 @@ def run(argv, capsys):
 
 
 def test_prove_succeeds_and_prints_summary(capsys):
-    code, out, _ = run(["prove", "--a", "2", "--b", "1", "--n-max", "3"], capsys)
+    code, out, err = run(["prove", "--a", "2", "--b", "1", "--n-max", "3"], capsys)
     assert code == 0
-    assert "verdict: proved" in out
-    assert "recurrence coefficients (in n): [n + 1, -14*n - 21, n + 2]" in out
-    assert "base case n=0" in out
-    assert "substitution check (all n): pass" in out
-    assert '"status": "proved"' in out  # JSON follows the summary on stdout
+    assert "verdict: proved" in err
+    assert "recurrence coefficients (in n): [n + 1, -14*n - 21, n + 2]" in err
+    assert "base case n=0" in err
+    assert "substitution check (all n): pass" in err
+    assert '"status": "proved"' in out  # the record alone on stdout
+
+
+def test_prove_without_out_writes_only_the_record_to_stdout(capsys):
+    # `telescopic prove ... > proof.json` gives a file that reads back
+    code, out, err = run(["prove", "--a", "7/2", "--b", "1/3", "--n-max", "2"], capsys)
+    assert code == 0
+    assert "verdict: proved" in err
+    proof = proof_from_json(out)
+    assert proof.proved
+    assert reverify_proof(proof)
 
 
 def test_prove_writes_json_to_out(tmp_path, capsys):
@@ -65,24 +75,24 @@ def test_prove_accepts_decimal_rationals(tmp_path, capsys):
 
 
 def test_prove_discover_mode(capsys):
-    code, out, _ = run(
+    code, _, err = run(
         ["prove", "--a", "2", "--b", "1", "--n-max", "2", "--mode", "discover"],
         capsys,
     )
     assert code == 0
-    assert "verdict: proved" in out
+    assert "verdict: proved" in err
 
 
 def test_prove_discover_exhaustion_skips_unrun_checks(capsys):
-    code, out, _ = run(
+    code, _, err = run(
         ["prove", "--a", "2", "--b", "1", "--mode", "discover", "--max-order", "1"],
         capsys,
     )
     assert code == 1
-    assert "verdict: failed" in out
-    assert "no telescoping relation" in out
-    assert "substitution check" not in out
-    assert "direct left/right comparisons" not in out
+    assert "verdict: failed" in err
+    assert "no telescoping relation" in err
+    assert "substitution check" not in err
+    assert "direct left/right comparisons" not in err
 
 
 def test_prove_summary_reports_unequal_comparisons(monkeypatch, capsys):
@@ -94,11 +104,11 @@ def test_prove_summary_reports_unequal_comparisons(monkeypatch, capsys):
         failure_reason=f"direct comparison mismatch at n={n}",
     )
     monkeypatch.setattr(cli, "prove_identity", lambda *args, **kwargs: broken)
-    code, out, _ = run(["prove", "--a", "2", "--b", "1", "--n-max", "3"], capsys)
+    code, _, err = run(["prove", "--a", "2", "--b", "1", "--n-max", "3"], capsys)
     assert code == 1
-    assert "direct left/right comparisons: n = 0..3, unequal at n = [3]" in out
-    assert "all equal" not in out
-    assert "substitution check" not in out
+    assert "direct left/right comparisons: n = 0..3, unequal at n = [3]" in err
+    assert "all equal" not in err
+    assert "substitution check" not in err
 
 
 # -- usage errors (exit code 2) ------------------------------------------------------

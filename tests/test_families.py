@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_params
+from conftest import count_calls, random_params
 from telescopic import (
     IntegrandFamily,
     LogCombination,
@@ -21,6 +21,7 @@ from telescopic import (
     make_left_family,
     make_right_family,
 )
+from telescopic.integration import _taylor_coefficients
 
 
 def test_parameter_pair_accepts_rationals():
@@ -131,6 +132,31 @@ def test_integrals_match_integrate_01_at_n_30(a, b):
         values = list(itertools.islice(fam.integrals(), 31))
         for n in (0, 1, 2, 30):
             assert values[n] == integrate_01(fam.at(n))
+
+
+def test_integrals_match_integrate_01_at_n_60():
+    params = ParameterPair(Fraction(7, 2), Fraction(1, 3))
+    for fam in (make_left_family(params), make_right_family(params)):
+        value = next(itertools.islice(fam.integrals(), 60, None))
+        assert value == integrate_01(fam.at(60))
+
+
+def test_integrals_run_no_series_division(monkeypatch):
+    # each member comes from the Taylor recurrence, not from the
+    # principal-part kernel of integrate_01
+    calls = count_calls(monkeypatch, "_principal_part")
+    params = ParameterPair(2, 1)
+    for fam in (make_left_family(params), make_right_family(params)):
+        assert len(list(itertools.islice(fam.integrals(), 9))) == 9
+    assert calls["_principal_part"] == 0
+
+
+def test_taylor_coefficients_raise_on_a_remainder():
+    # (1 - 4z) h' = 2h gives the central binomials h = (1 - 4z)^(-1/2);
+    # with E = 1, h = (1 - 4z)^(-1/4) has h_2 = 5/2, which must raise
+    assert _taylor_coefficients([1, -4], [2], 1, 5) == [1, 2, 6, 20, 70]
+    with pytest.raises(ArithmeticError, match="coefficient 2"):
+        _taylor_coefficients([1, -4], [1], 1, 3)
 
 
 def test_integrals_with_a_repeated_root():

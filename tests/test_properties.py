@@ -1,5 +1,6 @@
 """Property tests of Poly and RatFunc, with sympy as the oracle for the
-Taylor shift and the gcd, of the one-pass family integrals, with
+Taylor shift and the gcd, of the one-pass family integrals, of the
+paper's families and of any denominator that splits over Q, with
 integrate_01 as the oracle, of the integer value assembly, with the same
 sum in Fractions as the oracle, of root exclusion, with the Sturm chain as
 the oracle, and of the proof writer, with json.dumps as the oracle.
@@ -19,6 +20,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from telescopic import (  # noqa: E402
+    IntegrandFamily,
     LogCombination,
     ParameterPair,
     Poly,
@@ -138,6 +140,24 @@ def test_family_integrals_match_integrate_01(x, y):
 roots_outside_unit_interval = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)).filter(
     lambda root: not 0 <= root <= 1
 )
+denominators = st.builds(
+    lambda roots, mults, lead: lead * Poly.from_roots(r for r, m in zip(roots, mults) for _ in range(m)),
+    st.lists(roots_outside_unit_interval, min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    rationals.filter(bool),
+)
+
+
+@settings(exact, max_examples=40)
+@given(denominators)
+def test_family_integrals_match_integrate_01_for_any_split_denominator(den):
+    # 1-3 distinct roots of multiplicity 1-2, so D and E of the Taylor
+    # recurrence are built from up to two other roots at each root
+    fam = IntegrandFamily(den)
+    for n, value in zip(range(7), fam.integrals()):
+        assert value == integrate_01(fam.at(n))
+
+
 principal_parts = st.lists(
     st.tuples(
         roots_outside_unit_interval,

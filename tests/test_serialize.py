@@ -27,6 +27,9 @@ from telescopic import (
 )
 from telescopic.integration import PSI_13
 from telescopic.serialize import (
+    _VALUE_INDENT,
+    _logcomb_to_json,
+    _to_json,
     certificate_from_obj,
     certificate_to_obj,
     family_to_obj,
@@ -75,6 +78,23 @@ def test_logcomb_encoding_sorted_by_prime():
     assert obj["constant"] == "-21"
     assert [t["prime"] for t in obj["terms"]] == ["2", "3"]
     assert logcomb_from_obj(obj) == value
+
+
+_ELEVEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 1000003)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        LogCombination(Fraction(-7, 12)),  # no log terms
+        LogCombination(5, {3: Fraction(-1, 2), 2: 4}),  # an integer constant
+        LogCombination(Fraction(1, 3), {p: Fraction(2 * i - 11, 7) for i, p in enumerate(_ELEVEN_PRIMES)}),
+    ],
+    ids=["no-logs", "integer-constant", "eleven-primes"],
+)
+@pytest.mark.parametrize("indent", ["", _VALUE_INDENT])
+def test_value_text_is_written_from_its_integers(value, indent):
+    assert _logcomb_to_json(value, indent) == _to_json(logcomb_to_obj(value), indent)
 
 
 def test_component_round_trips():
