@@ -35,7 +35,7 @@ def main() -> None:
         ("right", make_right_family(params)),
     ):
         start = time.perf_counter()
-        rec, cert = discover(fam, max_order=2, max_cert_degree=4)
+        rec, cert = discover(fam)
         elapsed = time.perf_counter() - start
         recurrences[side] = rec
         print()

@@ -6,6 +6,8 @@ exactly (0.5 -> 1/2), so no floating contamination enters the exact
 pipeline.  All output is deterministic for a fixed configuration.
 Without --out, `prove` writes its proof record to standard output and
 its summary to standard error, so the output parses as JSON.
+Discovery runs in `discover`'s default space, which holds every pair's
+relation, so no bound is an option: a smaller one fails true identities.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from . import serialize
 from ._version import __version__
 from .approximants import approximant_table, rows_to_csv
-from .errors import AnsatzExhaustedError, TelescopicError, ToleranceNotMetError
+from .errors import TelescopicError, ToleranceNotMetError
 from .families import ParameterPair, make_left_family, make_right_family
 from .integration import logcomb_to_float
 from .prove import prove_identity
@@ -46,16 +48,12 @@ _OPTIONS = {
     "precision-bits": dict(type=int, default=256, help="working float precision (default 256)"),
     "tol": dict(type=float, default=1e-12, help="quadrature tolerance (default 1e-12)"),
     "out": dict(default=None, help="output file path"),
-    "max-order": dict(type=int, default=2, help="largest recurrence order tried (default 2)"),
-    "max-cert-degree": dict(
-        type=int, default=4, help="largest certificate numerator degree tried (default 4)"
-    ),
 }
 
 # each subcommand accepts exactly the options it reads
 _COMMANDS = {
-    "prove": ("run the full proof pipeline", "a b n-max mode out max-order max-cert-degree"),
-    "derive": ("discover recurrence and certificates", "a b max-order max-cert-degree"),
+    "prove": ("run the full proof pipeline", "a b n-max mode out"),
+    "derive": ("discover recurrence and certificates", "a b"),
     "approx": ("emit the approximant table as CSV", "a b n-max precision-bits out"),
     "quad": ("compare exact values against quadrature", "a b n-max tol out"),
 }
@@ -83,8 +81,6 @@ _BOUNDS = (
     ("n_max", lambda v: v >= 0, "--n-max must be nonnegative"),
     ("precision_bits", lambda v: v >= 64, "--precision-bits must be at least 64"),
     ("tol", lambda v: v >= 1e-14, "--tol must be at least 1e-14"),
-    ("max_order", lambda v: v >= 1, "--max-order must be at least 1"),
-    ("max_cert_degree", lambda v: v >= 1, "--max-cert-degree must be at least 1"),
 )
 
 
@@ -106,13 +102,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_prove(params: ParameterPair, args: argparse.Namespace) -> int:
-    proof = prove_identity(
-        params,
-        mode=args.mode,
-        extra_n=args.n_max,
-        max_order=args.max_order,
-        max_cert_degree=args.max_cert_degree,
-    )
+    proof = prove_identity(params, mode=args.mode, extra_n=args.n_max)
     report = sys.stderr if args.out is None else sys.stdout  # keep stdout for the record
     print(f"params: a={params.a}, b={params.b}  mode: {args.mode}", file=report)
     if proof.recurrence is not None:
@@ -147,11 +137,7 @@ def cmd_derive(params: ParameterPair, args: argparse.Namespace) -> int:
     }
     results = {}
     for side, fam in families.items():
-        try:
-            rec, cert = discover(fam, args.max_order, args.max_cert_degree)
-        except AnsatzExhaustedError as exc:
-            print(f"{side}: {exc}")
-            return 1
+        rec, cert = discover(fam)
         results[side] = rec
         print(f"{side} family:")
         print(f"  recurrence (order {rec.order}): {rec.to_str()}")

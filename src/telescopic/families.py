@@ -13,8 +13,8 @@ property checked at construction is that Q has no root in [0, 1] (the
 integrals converge), so c, r and each F(n, x) are in lowest terms as built.
 
 IntegrandFamily.integrals yields the exact integrals I(0), I(1), ... from
-one pass of the integration module's family loop over c and r: the roots
-of Q and their factored logs are found once, and each member's principal
+one pass of the integration module's family loop over Q: the roots of
+Q and their factored logs are found once, and each member's principal
 parts are the Taylor coefficients of one integer series per root, which
 satisfy a short linear recurrence: O(m(n+1)) integer products for a root
 of multiplicity m, where a series division would take O(m^2 (n+1)^2).
@@ -88,7 +88,7 @@ class IntegrandFamily:
         """The exact integrals I(n) of F(n, x) over [0, 1], for n = 0, 1, 2, ...,
         each equal to integrate_01(self.at(n)), in one lazy pass (see
         integration._family_integrals)."""
-        return _family_integrals(self.cofactor, self.ratio)
+        return _family_integrals(self.den)
 
 
 def make_left_family(params: ParameterPair) -> IntegrandFamily:

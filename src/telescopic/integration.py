@@ -35,8 +35,8 @@ principal part as a power series in integers, with O(M^2) products for
 a pole of order M.  Whether a pole lies in [0, 1] is decided before
 that search, from the signs of the denominator's coefficients or else a
 Sturm chain.  For a whole integrand family, _family_integrals (behind
-IntegrandFamily.integrals) finds the roots, their gaps and the factored
-logs once.  Each member is hyperexponential, so at each root its
+IntegrandFamily.integrals) takes the family's denominator Q alone and
+finds the roots, their gaps and the factored logs once.  Each member is hyperexponential, so at each root its
 principal part, and its polynomial part when the denominator has degree
 <= 1, are the Taylor coefficients of an integer series that a short
 linear recurrence gives with O(M) integer products.  The assembly sums
@@ -540,20 +540,20 @@ def _taylor_coefficients(d: list[int], e: list[int], h0: int, count: int) -> lis
     return h
 
 
-def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
-    """The exact integrals over [0, 1] of c * r^n, for n = 0, 1, 2, ...
-    (IntegrandFamily.integrals), where the cofactor c = C/Q has a constant
-    numerator and the ratio r = lam x(1-x)/Q the same monic denominator.
+def _family_integrals(den: Poly) -> Iterator[LogCombination]:
+    """The exact integrals over [0, 1] of F(n, x) = x^n (1-x)^n / Q^(n+1)
+    with Q = den, for n = 0, 1, 2, ... (IntegrandFamily.integrals).
 
-    Equal to integrate_01(c * r^n), from data found once: the roots of Q,
-    their gaps (_split_poles) and their factored logs.  At a root R = u/v
-    of multiplicity m, the principal part of order m(n+1) reads the
-    Taylor coefficients of c r^n y^(m(n+1)) in y = x - R.  With y = gap z
-    that is scale * h(z), for
+    Equal to integrate_01(F(n, x)), from data found once: the roots of Q,
+    their gaps (_split_poles) and their factored logs.  With lam = 1/lc(Q),
+    F = lam^(n+1) x^n (1-x)^n / prod_rho (x - rho)^(m_rho (n+1)) over the
+    roots rho of Q.  At a root R = u/v of multiplicity m, the principal
+    part of order m(n+1) reads the Taylor coefficients of F y^(m(n+1)) in
+    y = x - R.  With y = gap z that is scale * h(z), for
         h(z) = V(z)^n prod_rho (1 + beta_rho z)^(-k_rho),
         V(z) = (u + v gap z)(v - u - v gap z),
         beta_rho = gap/(R - rho),  k_rho = m_rho (n+1),
-    over the other roots rho, and scale = C lam^n/(v^(2n) prod (R - rho)^k_rho).
+    over the other roots rho, and scale = lam^(n+1)/(v^(2n) prod (R - rho)^k_rho).
     gap is a multiple of each numerator of R - rho, so every beta_rho is an
     integer, and h has integer coefficients.  Its logarithmic derivative is
     n V'/V - sum k_rho beta_rho/(1 + beta_rho z), so D h' = E h with
@@ -565,15 +565,15 @@ def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
     V(0) = u(v - u) is nonzero, as no root lies in [0, 1].
 
     The numerator has degree 2n and Q^(n+1) degree (n+1) deg(Q), so the
-    polynomial part is 0 once deg(Q) >= 2.  For Q = x - R it is
-    sum_(n < t <= 2n) scale h_t y^(t-n-1) (gap = 1), and for Q = 1 the same
-    series expanded at R = -1 gives the whole numerator; _power_sum
+    polynomial part is 0 once deg(Q) >= 2.  For Q = (x - R)/lam it is
+    sum_(n < t <= 2n) scale h_t y^(t-n-1) (gap = 1), and for a constant Q the
+    same series expanded at R = -1 gives the whole numerator; _power_sum
     integrates either with no division.
     """
-    lam = r.num[1]
-    poles = _split_poles(c.den)
+    lam = 1 / den.leading_coefficient()
+    poles = _split_poles(den)  # the roots do not depend on lc(Q)
     logs = {root: _log_terms((1 - root) / -root) for root, _, _, _ in poles}
-    degree = c.den.degree()
+    degree = den.degree()
     # the series is expanded at each root, or at -1 when Q = 1
     points = [(root, mult, gap) for root, mult, _, gap in poles] or [(Fraction(-1), 0, 1)]
     series, scales, steps = [], [], []
@@ -592,7 +592,7 @@ def _family_integrals(c: RatFunc, r: RatFunc) -> Iterator[LogCombination]:
             a2 = list(map(add, a2, _convolve(vee, rest)))
         series.append((d, a1, a2))
         base = math.prod(diff**m for diff, m in others)
-        scales.append(c.num[0] / base)
+        scales.append(lam / base)
         steps.append(lam / (v * v * base))
     for n in itertools.count():
         parts = []

@@ -237,14 +237,12 @@ def prove_identity(
     params: ParameterPair,
     mode: str = "verify",
     extra_n: int = 5,
-    max_order: int = 2,
-    max_cert_degree: int = 4,
 ) -> ProofObject:
     """Run the complete pipeline and return a ProofObject.
 
     Each family's recurrence and certificate come from `closed_form`
-    (mode "verify") or from `discover` (mode "discover"); the proof
-    fails unless the two recurrences coincide.
+    (mode "verify") or from `discover` with its default bounds (mode
+    "discover"); the proof fails unless the two recurrences coincide.
     """
     if mode not in ("verify", "discover"):
         raise ValueError(f"mode must be 'verify' or 'discover', got {mode!r}")
@@ -253,7 +251,7 @@ def prove_identity(
     left, right = make_left_family(params), make_right_family(params)
     try:
         (rec, left_cert), (rec_right, right_cert) = (
-            closed_form(fam) if mode == "verify" else discover(fam, max_order, max_cert_degree)
+            closed_form(fam) if mode == "verify" else discover(fam)
             for fam in (left, right)
         )
         if rec != rec_right:

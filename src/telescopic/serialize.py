@@ -18,11 +18,11 @@ spelling.  `proof_from_obj` reads only the independent entries and
 refuses a record that their re-encoding does not reproduce (key order
 and `tool_version` aside), so no edited derived entry and no
 non-canonical number passes.  That check is what refuses a
-non-canonical spelling, so the LogCombination decoder reads each number
-as the integers it spells, with no Fraction parse; it refuses a log
-base that is not prime, which the re-encoding check would pass.  A
-record decodes each distinct value once, keyed by the strings that
-spell it.
+non-canonical spelling, so every decoder reads each number as the
+integers it spells, with no Fraction parse; the LogCombination decoder
+refuses a log base that is not prime, which the re-encoding check would
+pass.  A record decodes each distinct value once, keyed by the strings
+that spell it.
 `proof_to_json` writes the text of `json.dumps(proof_to_obj(p),
 indent=2)` in one recursive pass (the stdlib's indenting encoder is pure
 Python, and took a third of the time), and the text of each checked
@@ -58,7 +58,7 @@ def poly_to_obj(p: Poly) -> list[str]:
 
 
 def poly_from_obj(obj: list[str]) -> Poly:
-    return Poly(Fraction(c) for c in obj)
+    return Poly(Fraction(*_ratio_from_str(c)) for c in obj)
 
 
 def ratfunc_to_obj(f: RatFunc) -> dict:
@@ -112,7 +112,7 @@ def params_to_obj(params: ParameterPair) -> dict:
 
 
 def params_from_obj(obj: dict) -> ParameterPair:
-    return ParameterPair(Fraction(obj["a"]), Fraction(obj["b"]))
+    return ParameterPair(Fraction(*_ratio_from_str(obj["a"])), Fraction(*_ratio_from_str(obj["b"])))
 
 
 def family_to_obj(fam: IntegrandFamily) -> dict:

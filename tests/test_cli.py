@@ -11,6 +11,7 @@ import pytest
 
 import telescopic
 from telescopic import (
+    AnsatzExhaustedError,
     LogCombination,
     ParameterPair,
     cli,
@@ -83,11 +84,12 @@ def test_prove_discover_mode(capsys):
     assert "verdict: proved" in err
 
 
-def test_prove_discover_exhaustion_skips_unrun_checks(capsys):
-    code, _, err = run(
-        ["prove", "--a", "2", "--b", "1", "--mode", "discover", "--max-order", "1"],
-        capsys,
-    )
+def test_prove_discover_exhaustion_skips_unrun_checks(monkeypatch, capsys):
+    def exhausted(fam):
+        raise AnsatzExhaustedError(2, 4)
+
+    monkeypatch.setattr(telescopic.prove, "discover", exhausted)
+    code, _, err = run(["prove", "--a", "2", "--b", "1", "--mode", "discover"], capsys)
     assert code == 1
     assert "verdict: failed" in err
     assert "no telescoping relation" in err
@@ -131,6 +133,9 @@ def test_prove_summary_reports_unequal_comparisons(monkeypatch, capsys):
         ["prove", "--a", "2", "--b", "1", "--seed", "1"],  # no such option
         ["derive", "--a", "2", "--b", "1", "--n-max", "3"],  # not read by derive
         ["prove", "--a", "2", "--b", "1", "--tol", "1e-6"],  # not read by prove
+        # discovery's search space is fixed: no bound is an option
+        ["prove", "--a", "2", "--b", "1", "--mode", "discover", "--max-order", "2"],
+        ["derive", "--a", "2", "--b", "1", "--max-cert-degree", "4"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -168,10 +173,22 @@ def test_derive_coefficient_pattern(capsys):
     assert "[n + 1, -34*n - 51, n + 2]" in out
 
 
-def test_derive_exhaustion_exits_1(capsys):
-    code, out, _ = run(["derive", "--a", "2", "--b", "1", "--max-order", "1"], capsys)
+def test_derive_exhaustion_exits_1(monkeypatch, capsys):
+    def exhausted(fam):
+        raise AnsatzExhaustedError(2, 4)
+
+    monkeypatch.setattr(cli, "discover", exhausted)
+    code, _, err = run(["derive", "--a", "2", "--b", "1"], capsys)
     assert code == 1
-    assert "no telescoping relation" in out
+    assert "no telescoping relation" in err
+
+
+def test_every_option_is_a_flag_of_some_subcommand():
+    # _validate skips names absent from the namespace, so a flag dropped
+    # from _COMMANDS would leave its option and bound behind silently
+    flags = {flag for _, names in cli._COMMANDS.values() for flag in names.split()}
+    assert flags == set(cli._OPTIONS)
+    assert {name for name, _, _ in cli._BOUNDS} <= {flag.replace("-", "_") for flag in flags}
 
 
 # -- approx ----------------------------------------------------------------------

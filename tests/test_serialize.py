@@ -165,17 +165,23 @@ def test_proof_from_json_refuses_non_canonical_records(edit):
         proof_from_json(json.dumps(obj))
 
 
-@pytest.mark.parametrize("spelling", ["2/4", "1/-2", "+1", " 1", "1_0", "0x1", "1/0"])
-@pytest.mark.parametrize("field", ["coeff", "constant"])
+@pytest.mark.parametrize("spelling", ["2/4", "1/-2", "+1", " 1", "1_0", "0x1", "1/0", "1.0", "1e0", ""])
+@pytest.mark.parametrize("field", ["coeff", "constant", "certificate", "recurrence", "params_b"])
 def test_proof_from_json_refuses_non_canonical_value_numbers(field, spelling):
-    # the values are read as integers, not through Fraction's parser; a
+    # every number is read as integers, not through Fraction's parser; a
     # number read that way is still refused unless it is written canonically
     obj = json.loads(proof_to_json(prove_identity(ParameterPair(2, 1), extra_n=2)))
     value = obj["extra_checks"][2]["right"]
     if field == "coeff":
         value["terms"][0]["coeff"] = spelling
-    else:
+    elif field == "constant":
         value["constant"] = spelling
+    elif field == "certificate":
+        obj["certificates"]["left"]["parts"][0]["num"][1] = spelling
+    elif field == "recurrence":
+        obj["recurrence"]["coeffs"][0][0] = spelling
+    else:
+        obj["params"]["b"] = spelling
     with pytest.raises(ValueError):
         proof_from_json(json.dumps(obj))
 
