@@ -41,7 +41,7 @@ def main() -> None:
         mark = "==" if left == right else "!="
         print(f"direct check n={n}:  left {mark} right  ({left})")
     print()
-    print(f"substitution check: {proof.proved}")
+    print(f"substitution check: {proof.substitution_check}")
     print(f"verdict: {proof.verdict}")
 
     # the proof object survives serialization and independent re-checking

@@ -52,7 +52,6 @@ from fractions import Fraction
 from .errors import SpanError, TelescopicError
 from .families import ParameterPair, make_right_family
 from .integration import LogCombination, integrate_01, log_of_rational, logcomb_to_float
-from .serialize import rational_to_str
 from .telescoping import closed_form_recurrence
 
 
@@ -86,8 +85,8 @@ def decompose_against(value: LogCombination, lam: LogCombination) -> tuple[Fract
     Q-span of {1, lam}."""
     if not lam.terms:
         raise SpanError("reference value has no logarithmic part")
-    lam_terms = lam.terms_dict()
-    val_terms = value.terms_dict()
+    lam_terms = dict(lam.terms)
+    val_terms = dict(value.terms)
     if set(val_terms) - set(lam_terms):
         raise SpanError("value contains primes absent from the reference")
     first_prime = lam.terms[0][0]
@@ -292,8 +291,8 @@ def rows_to_csv(rows: list[ApproximantRow], precision_bits: int = 256) -> str:
             ",".join(
                 [
                     str(row.n),
-                    rational_to_str(row.p),
-                    rational_to_str(row.q),
+                    str(row.p),
+                    str(row.q),
                     sci(row.value),
                     sci(row.abs_error),
                     sci(row.empirical_exponent),

@@ -1,6 +1,6 @@
 """Command-line surface: prove | derive | approx | quad.
 
-Exit codes: 0 success, 1 proof/verification failure, 2 usage error.
+Exit codes: 0 success, 1 proof/verification failure, 2 usage or write error.
 Rational arguments accept "p/q" and decimal strings; decimals convert
 exactly (0.5 -> 1/2), so no floating contamination enters the exact
 pipeline.  All output is deterministic for a fixed configuration.
@@ -119,9 +119,8 @@ def cmd_prove(params: ParameterPair, args: argparse.Namespace) -> int:
     if checks:
         status = "all equal" if not unequal else f"unequal at n = {unequal}"
         print(f"direct left/right comparisons: n = 0..{checks[-1][0]}, {status}", file=report)
-    # the substitution check runs only once every direct comparison holds
-    if checks and checks[-1][0] == args.n_max and not unequal:
-        print(f"substitution check (all n): {'pass' if proof.proved else 'FAIL'}", file=report)
+    if proof.substitution_check is not None:
+        print(f"substitution check (all n): {'pass' if proof.substitution_check else 'FAIL'}", file=report)
     if proof.proved:
         print("verdict: proved", file=report)
     else:
@@ -207,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     except TelescopicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # from writing --out or its .dat companion
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -239,9 +239,6 @@ class LogCombination:
     def is_zero(self) -> bool:
         return not self._primes and self.constant == 0
 
-    def terms_dict(self) -> dict[int, Fraction]:
-        return dict(self.terms)
-
     def __add__(self, other) -> "LogCombination":
         if not isinstance(other, LogCombination):
             return NotImplemented
@@ -326,8 +323,6 @@ def logcomb_to_float(value: LogCombination, precision_bits: int) -> numbers.Real
                 total += mpmath.ln(p) * mpmath.mpf(c.numerator) / c.denominator
             return total
 
-    if value.is_zero():
-        return mpmath.mpf(0)
     first = attempt(precision_bits + guard)
     if first == 0:
         cancellation = precision_bits + guard  # everything cancelled; retry harder
@@ -510,8 +505,6 @@ def _principal_part(root: Fraction, order: int, shifted_den: Poly, numer: Poly, 
 def _decompose(f: RatFunc) -> tuple[Poly, list[PrincipalPart]]:
     """The polynomial part of f and its principal part at every root of f.den."""
     poly_part, remainder = divmod(f.num, f.den)
-    if remainder.is_zero():
-        return poly_part, []
     return poly_part, [
         _principal_part(root, mult, shifted, remainder.shift(root), gap)
         for root, mult, shifted, gap in _split_poles(f.den)
@@ -703,8 +696,6 @@ def integrate_01(f: RatFunc) -> LogCombination:
     denominator that does not split over Q, or a root that factorize
     cannot certify.
     """
-    if f.is_zero():
-        return LogCombination.zero()
     if has_root_in_unit_interval(f.den):
         raise DivergentIntegralError(
             f"integrand has a pole in [0, 1]: denominator {f.den}"

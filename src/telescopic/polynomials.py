@@ -122,16 +122,6 @@ class Poly:
         return cls((value,))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, coefficient: Scalar, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls((0,) * exponent + (coefficient,))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "Poly":
         """Monic polynomial with the given rational roots."""
         p = cls.one()

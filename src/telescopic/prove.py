@@ -39,8 +39,8 @@ Every sub-step failure is converted into a failed verdict naming the
 step; there is no silent pass.  `prove_identity` and `reverify_proof`
 run the one check sequence in `_check_sequence`.
 
-`ProofObject` fields are independent: the integrand families follow from
-the parameters and the verdict from the failure reason, so neither is stored.
+`ProofObject` fields are independent: the families follow from the
+parameters, the verdict and the substitution check from the failure reason.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ from .telescoping import (
 )
 
 
+_SUBSTITUTION_FAILED = "substitution check failed"
+
+
 @dataclass(frozen=True)
 class ProofObject:
     """Self-contained record of one run of the proof pipeline."""
@@ -88,6 +91,14 @@ class ProofObject:
     def verdict(self) -> str:
         return "proved" if self.proved else "failed"
 
+    @property
+    def substitution_check(self) -> bool | None:
+        """Whether the change of variables, the last check of
+        _check_sequence, passed; None if an earlier check failed first."""
+        if self.proved:
+            return True
+        return False if self.failure_reason == _SUBSTITUTION_FAILED else None
+
 
 def propagate_recurrence(rec: Recurrence, initial: list, n_target: int) -> list:
     """Exact forward propagation: values[n+order] solved from the
@@ -101,14 +112,14 @@ def propagate_recurrence(rec: Recurrence, initial: list, n_target: int) -> list:
     values = list(initial)
     n = 0
     while len(values) <= n_target:
-        lead = rec.coefficient_at(rec.order, n)
+        lead = rec.coeffs[rec.order](n)
         if lead == 0:
             raise SingularRecurrenceError(
                 f"singular recurrence step: leading coefficient vanishes at n={n}"
             )
-        acc = rec.coefficient_at(0, n) * values[n]
+        acc = rec.coeffs[0](n) * values[n]
         for k in range(1, rec.order):
-            acc = acc + rec.coefficient_at(k, n) * values[n + k]
+            acc = acc + rec.coeffs[k](n) * values[n + k]
         values.append((-1 / lead) * acc)
         n += 1
     return values[: n_target + 1]
@@ -213,7 +224,7 @@ def _check_sequence(
 
         # 5. independent change-of-variables proof, for every n
         if not verify_substitution_proof(params):
-            return finish("substitution check failed")
+            return finish(_SUBSTITUTION_FAILED)
 
         return finish()
     except TelescopicError as exc:

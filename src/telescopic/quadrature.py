@@ -67,9 +67,7 @@ def _dyadic_value(coeffs: list[int], m: int, k: int) -> int:
     return acc
 
 
-def quad_01(
-    f: RatFunc, tol: float = 1e-12, max_subdivisions: int = DEFAULT_MAX_SUBDIVISIONS
-) -> QuadratureResult:
+def quad_01(f: RatFunc, tol: float = 1e-12) -> QuadratureResult:
     """Adaptive integral of f over [0, 1] with an embedded error estimate.
 
     Requires tol >= 1e-14 (double precision floor) and f pole-free on
@@ -77,8 +75,6 @@ def quad_01(
     """
     if not tol >= 1e-14:  # false for NaN as well
         raise ValueError("tol must be >= 1e-14")
-    if max_subdivisions < 1:
-        raise ValueError("max_subdivisions must be positive")
     if has_root_in_unit_interval(f.den):
         raise PoleError(f"integrand has a pole in [0, 1]: denominator {f.den}")
 
@@ -113,7 +109,7 @@ def quad_01(
         lo, hi = stack.pop()
         value, estimate = panel(lo, hi)
         width = hi - lo
-        can_split = len(leaves) + len(stack) + 2 <= max_subdivisions
+        can_split = len(leaves) + len(stack) + 2 <= DEFAULT_MAX_SUBDIVISIONS
         if estimate <= tol * width or not can_split:
             leaves.append((value, estimate))
         else:

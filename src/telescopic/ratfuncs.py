@@ -68,11 +68,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den == Poly.one()
 
-    def as_polynomial(self) -> Poly:
-        if not self.is_polynomial():
-            raise ValueError("rational function is not a polynomial")
-        return self.num
-
     def __eq__(self, other) -> bool:
         other = RatFunc._coerce(other)
         if other is None:

@@ -47,14 +47,8 @@ from .ratfuncs import RatFunc
 from .telescoping import Certificate, Recurrence
 
 
-def rational_to_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def poly_to_obj(p: Poly) -> list[str]:
-    return [rational_to_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def poly_from_obj(obj: list[str]) -> Poly:
@@ -70,7 +64,7 @@ def ratfunc_from_obj(obj: dict) -> RatFunc:
 
 
 def _ratio_to_str(num: int, den: int) -> str:
-    """rational_to_str(Fraction(num, den)) for den > 0."""
+    """str(Fraction(num, den)) for den > 0."""
     g = math.gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -84,7 +78,7 @@ def _ratio_from_str(text: str) -> tuple[int, int]:
 def logcomb_to_obj(value: LogCombination) -> dict:
     den = value._den
     return {
-        "constant": rational_to_str(value.constant),
+        "constant": str(value.constant),
         "terms": [
             {"prime": str(p), "coeff": _ratio_to_str(c, den)}
             for p, c in zip(value._primes, value._ints)
@@ -108,7 +102,7 @@ def logcomb_from_obj(obj: dict) -> LogCombination:
 
 
 def params_to_obj(params: ParameterPair) -> dict:
-    return {"a": rational_to_str(params.a), "b": rational_to_str(params.b)}
+    return {"a": str(params.a), "b": str(params.b)}
 
 
 def params_from_obj(obj: dict) -> ParameterPair:
@@ -180,8 +174,8 @@ def proof_to_obj(proof: ProofObject, encode: Callable[[LogCombination], object] 
         },
         "base_cases": _checks_to_obj(proof.base_cases, encode),
         "extra_checks": _checks_to_obj(proof.extra_checks, encode),
-        # the change of variables is the last check, so it passed iff proved
-        "substitution_check": proof.proved,
+        # false as well when the check never ran
+        "substitution_check": bool(proof.substitution_check),
         "verdict": verdict,
         "tool_version": __version__,
     }
@@ -222,7 +216,7 @@ def _logcomb_to_json(value: LogCombination, indent: str) -> str:
     """_to_json(logcomb_to_obj(value), indent), written from the value's
     integers: no digit, sign or slash needs escaping."""
     inner, term, field = indent + "  ", indent + "    ", indent + "      "
-    head = f'{{\n{inner}"constant": "{rational_to_str(value.constant)}",\n{inner}"terms": '
+    head = f'{{\n{inner}"constant": "{value.constant}",\n{inner}"terms": '
     if not value._primes:
         return f"{head}[]\n{indent}}}"
     den = value._den
@@ -287,7 +281,7 @@ def proof_from_obj(obj: dict) -> ProofObject:
         )
     except KeyError as exc:
         raise ValueError(f"proof record lacks the entry {exc}") from exc
-    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"proof record has a mistyped entry: {exc}") from exc
     if _canonical(proof_to_obj(proof)) != _canonical(obj):
         raise ValueError("proof record is not the canonical encoding of its fields")

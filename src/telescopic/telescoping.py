@@ -74,9 +74,6 @@ class Recurrence:
         if self.coeffs[-1].is_zero():
             raise ValueError("leading recurrence coefficient must be nonzero")
 
-    def coefficient_at(self, k: int, n: int) -> Fraction:
-        return self.coeffs[k](n)
-
     def degree_in_n(self) -> int:
         return max(c.degree() for c in self.coeffs)
 

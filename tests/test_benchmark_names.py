@@ -1,14 +1,20 @@
-"""The benchmark's traced mode wraps library functions by name; every
-name it lists must resolve, so a rename in the library cannot silently
-break `perfbench/run.py --trace 1`."""
+"""The benchmark reaches the library by name: its traced mode wraps
+functions listed in `perfbench/tracing.py`, and its workloads call
+`telescopic` attributes.  Every such name must resolve, so a rename or a
+retirement in the library cannot silently break `perfbench/run.py`."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import telescopic
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _layer_functions():
@@ -24,3 +30,33 @@ def test_traced_function_resolves(layer, name, path):
     for attribute in path.split("."):
         target = getattr(target, attribute)
     assert callable(target), f"telescopic.{layer}.{path}"
+
+
+def _workload_names():
+    """The attributes the workloads read off `import telescopic as T`."""
+    tree = ast.parse(WORKLOADS.read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.Import)]
+    assert any(alias.name == "telescopic" and alias.asname == "T" for node in imports for alias in node.names)
+    return sorted(
+        {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "T"
+        }
+    )
+
+
+def test_workload_names_are_found():
+    names = _workload_names()
+    for name in ("closed_form_recurrence", "decompose_against", "rows_to_csv", "ToleranceNotMetError"):
+        assert name in names
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_workload_name_resolves(name):
+    assert hasattr(telescopic, name), f"telescopic.{name}"
+
+
+def test_recurrence_normalized_resolves():
+    # the discover workload's check normalizes closed_form_recurrence's result
+    assert callable(telescopic.Recurrence.normalized)

@@ -12,6 +12,7 @@ import pytest
 import telescopic
 from telescopic import (
     AnsatzExhaustedError,
+    IntegrandFamily,
     LogCombination,
     ParameterPair,
     cli,
@@ -97,6 +98,53 @@ def test_prove_discover_exhaustion_skips_unrun_checks(monkeypatch, capsys):
     assert "direct left/right comparisons" not in err
 
 
+def _fail_substitution(monkeypatch):
+    monkeypatch.setattr(telescopic.prove, "verify_substitution_proof", lambda params: False)
+
+
+def _fail_base_case(monkeypatch):
+    integrals = IntegrandFamily.integrals
+
+    def skewed(fam):  # the right family's denominator is the linear one
+        values = integrals(fam)
+        return values if fam.den.degree() == 2 else (v + LogCombination(1) for v in values)
+
+    monkeypatch.setattr(IntegrandFamily, "integrals", skewed)
+
+
+def _exhaust_ansatz(monkeypatch):
+    def exhausted(fam):
+        raise AnsatzExhaustedError(2, 4)
+
+    monkeypatch.setattr(telescopic.prove, "discover", exhausted)
+
+
+@pytest.mark.parametrize(
+    "breaking, expected, reason",
+    [
+        (None, True, None),
+        (_fail_substitution, False, "substitution check failed"),
+        (_fail_base_case, None, "base case mismatch at n=0"),
+        (_exhaust_ansatz, None, "ansatz exhausted"),
+    ],
+    ids=["proved", "substitution_failed", "base_mismatch", "ansatz_exhausted"],
+)
+def test_substitution_check_agrees_in_proof_record_and_summary(breaking, expected, reason, monkeypatch, capsys):
+    if breaking is not None:
+        breaking(monkeypatch)
+    code, out, err = run(["prove", "--a", "2", "--b", "1", "--n-max", "2", "--mode", "discover"], capsys)
+    assert code == (0 if expected else 1)
+    proof = proof_from_json(out)
+    assert proof.proved if reason is None else proof.failure_reason.startswith(reason)
+    assert proof.substitution_check is expected
+    # the record's field is a bool, false as well when the check never ran
+    assert json.loads(out)["substitution_check"] is bool(expected)
+    if expected is None:
+        assert "substitution check" not in err
+    else:
+        assert f"substitution check (all n): {'pass' if expected else 'FAIL'}" in err
+
+
 def test_prove_summary_reports_unequal_comparisons(monkeypatch, capsys):
     proof = prove_identity(ParameterPair(2, 1), extra_n=3)
     n, left, right = proof.extra_checks[-1]
@@ -143,6 +191,24 @@ def test_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert capsys.readouterr().err  # a diagnostic was printed
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+@pytest.mark.parametrize("command", ["prove", "approx", "quad"])
+def test_unwritable_out_exits_2(command, where, tmp_path, capsys):
+    target = tmp_path / "missing" / "out" if where == "missing_directory" else tmp_path
+    code, _, err = run([command, "--a", "2", "--b", "1", "--n-max", "1", "--out", str(target)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
+def test_unwritable_dat_companion_exits_2(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    (tmp_path / "table.csv.dat").mkdir()
+    code, _, err = run(["approx", "--a", "2", "--b", "1", "--n-max", "1", "--out", str(target)], capsys)
+    assert code == 2
+    assert err == f"error: cannot write {target}.dat: Is a directory\n"
 
 
 # -- derive ----------------------------------------------------------------------

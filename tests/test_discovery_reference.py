@@ -40,7 +40,7 @@ def poly_pencil(fam, max_order, max_cert_degree):
     rec = [(r_num**k * q ** (m - k), Poly.zero()) for k in range(max_order + 1)]
     cert = []
     for j in range(max_cert_degree - 1):
-        x_j = Poly.monomial(1, j)
+        x_j = Poly((0,) * j + (1,))
         p = Poly([0, -1, 1]) * x_j
         a = (2 * p * dq - p.derivative() * q) * q ** (m - 2)
         b = (p * dq - x_j * Poly([-1, 2]) * q) * q ** (m - 2)

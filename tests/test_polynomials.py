@@ -30,9 +30,9 @@ def test_indexing_beyond_degree_is_zero():
 
 
 def test_basic_constructors():
-    x = Poly.x()
+    x = Poly((0, 1, 0))
     assert x == Poly([0, 1])
-    assert Poly.monomial(2, 3) == Poly([0, 0, 0, 2])
+    assert 2 * x**3 == Poly([0, 0, 0, 2])
     assert Poly.from_roots([1, 2]) == Poly([2, -3, 1])
     assert Poly.constant(5)(123) == 5
 

@@ -325,7 +325,7 @@ def test_the_pair_past_trial_division_proves(monkeypatch, mode):
     (a, b) = benchmark_workloads(monkeypatch).DEFECT_PAIR
     proof = prove_identity(ParameterPair(a, b), mode=mode, extra_n=8)
     assert proof.proved, proof.failure_reason
-    assert 1000003 in proof.base_cases[0][1].terms_dict()
+    assert 1000003 in dict(proof.base_cases[0][1].terms)
     assert reverify_proof(proof_from_json(proof_to_json(proof)))
 
 
@@ -340,7 +340,7 @@ def test_a_pair_with_a_log_argument_past_psi_13_proves(mode):
     k = value.bit_length()
     proof = prove_identity(ParameterPair(Fraction(value, 2**k - value), 1), mode=mode, extra_n=8)
     assert proof.proved, proof.failure_reason
-    assert {43, p, q} <= set(proof.base_cases[0][1].terms_dict())
+    assert {43, p, q} <= set(dict(proof.base_cases[0][1].terms))
     assert reverify_proof(proof_from_json(proof_to_json(proof)))
 
 

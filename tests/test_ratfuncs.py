@@ -15,7 +15,7 @@ def test_canonical_form_reduced_and_monic_den():
     assert f.den == Poly([0, 1])
     g = RatFunc(Poly([-1, 0, 1]), Poly([1, 1]))  # (x^2-1)/(x+1) = x-1
     assert g.is_polynomial()
-    assert g.as_polynomial() == Poly([-1, 1])
+    assert g.num == Poly([-1, 1])
 
 
 def test_zero_normalizes_to_canonical_zero():

@@ -42,21 +42,22 @@ from telescopic.serialize import (
     proof_to_obj,
     ratfunc_from_obj,
     ratfunc_to_obj,
-    rational_to_str,
     recurrence_from_obj,
     recurrence_to_obj,
 )
 
 
 def test_rational_strings():
-    assert rational_to_str(Fraction(3, 4)) == "3/4"
-    assert rational_to_str(Fraction(-5)) == "-5"
-    assert rational_to_str(Fraction(6, -4)) == "-3/2"
+    # a record spells each rational as str(Fraction): lowest terms, the sign
+    # on the numerator, no denominator for an integer
+    assert params_to_obj(ParameterPair(Fraction(6, 4), Fraction(3, 4))) == {"a": "3/2", "b": "3/4"}
+    assert poly_to_obj(Poly([Fraction(6, -4), Fraction(-5), 1])) == ["-3/2", "-5", "1"]
     assert Fraction("-3/2") == Fraction(-3, 2)
     rng = random.Random(901)
     for _ in range(200):
         value = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
-        assert Fraction(rational_to_str(value)) == value
+        assert poly_to_obj(Poly([value, 1])) == [str(value), "1"]
+        assert Fraction(str(value)) == value
 
 
 def test_poly_encoding_is_ascending():
@@ -204,7 +205,7 @@ def test_proof_from_json_refuses_a_log_base_that_is_not_prime():
             for term in entry[side]["terms"]:
                 if term["prime"] == "3":
                     term["prime"] = "9"
-                    term["coeff"] = rational_to_str(Fraction(term["coeff"]) / 2)
+                    term["coeff"] = str(Fraction(term["coeff"]) / 2)
                     rewritten += 1
     assert rewritten
     with pytest.raises(ValueError, match="log base 9 is not a prime"):
@@ -225,14 +226,25 @@ def test_logcomb_from_obj_refuses_log_bases_that_are_not_prime(base, reason):
     assert logcomb_from_obj(prime) == LogCombination(0, {999999999989: 1})
 
 
+_PARAMS = '"params": {"a": "2", "b": "1"}'
+_ORDER = '{"certificates": {}, ' + _PARAMS + ', "recurrence": {"order": %s, "coeffs": []}}'
+_CHECK_N = (
+    '{"certificates": {"left": null, "right": null}, ' + _PARAMS
+    + ', "recurrence": null, "base_cases": [{"n": %s}]}'
+)
+
+
 @pytest.mark.parametrize(
     "text",
-    ["[]", "3", "null", "{}", '{"params": {"a": "2", "b": "1"}}'],
-    ids=["list", "number", "null", "empty_object", "params_only"],
+    ["[]", "3", "null", "{}", "{" + _PARAMS + "}",
+     _ORDER % "Infinity", _ORDER % "1e400", _CHECK_N % "Infinity", _CHECK_N % "1e400"],
+    ids=["list", "number", "null", "empty_object", "params_only",
+         "order_infinity", "order_1e400", "check_n_infinity", "check_n_1e400"],
 )
 def test_proof_from_json_refuses_malformed_records(text):
-    # a record that is not an object or lacks an entry is refused like any
-    # other bad record, not by a TypeError or KeyError from the decoder
+    # a record that is not an object, lacks an entry or holds a number that
+    # is not finite is refused like any other bad record, not by a TypeError,
+    # KeyError or OverflowError from the decoder
     with pytest.raises(ValueError, match="proof record"):
         proof_from_json(text)
 

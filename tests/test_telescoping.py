@@ -44,7 +44,7 @@ def _holds_at(fam, rec, cert, n):
     sum_k c_k(n) r^k == R(n)' + R(n) F'/F."""
     lhs = RatFunc.zero()
     for k in range(rec.order + 1):
-        lhs = lhs + rec.coefficient_at(k, n) * fam.ratio**k
+        lhs = lhs + rec.coeffs[k](n) * fam.ratio**k
     r = cert.at(n)
     f = fam.at(n)
     return lhs == r.derivative() + r * (f.derivative() / f)
@@ -71,8 +71,8 @@ def test_recurrence_validation():
 
 def test_recurrence_queries():
     rec = Recurrence(2, (Poly([1, 1]), Poly([-21, -14]), Poly([2, 1])))
-    assert rec.coefficient_at(1, 0) == -21
-    assert rec.coefficient_at(1, 2) == -49
+    assert rec.coeffs[1](0) == -21
+    assert rec.coeffs[1](2) == -49
     assert rec.degree_in_n() == 1
     assert rec.to_str() == "[n + 1, -14*n - 21, n + 2]"
 
@@ -442,7 +442,7 @@ def _per_sample_columns(fam, n, max_order=2, max_cert_degree=4):
     rec = [fam.ratio**k for k in range(max_order + 1)]
     cert = []
     for j in range(max_cert_degree - 1):
-        x_x_minus_1_xj = Poly([0, -1, 1]) * Poly.monomial(1, j)
+        x_x_minus_1_xj = Poly((0,) * j + (0, -1, 1))
         col = RatFunc(x_x_minus_1_xj, fam.cofactor.den)
         cert.append(-(col.derivative() + col * logd))
     return rec, cert
