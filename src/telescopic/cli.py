@@ -13,6 +13,8 @@ relation, so no bound is an option: a smaller one fails true identities.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from fractions import Fraction
 
@@ -50,32 +52,6 @@ _OPTIONS = {
     "out": dict(default=None, help="output file path"),
 }
 
-# each subcommand accepts exactly the options it reads
-_COMMANDS = {
-    "prove": ("run the full proof pipeline", "a b n-max mode out"),
-    "derive": ("discover recurrence and certificates", "a b"),
-    "approx": ("emit the approximant table as CSV", "a b n-max precision-bits out"),
-    "quad": ("compare exact values against quadrature", "a b n-max tol out"),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="telescopic",
-        description=(
-            "Exact creative-telescoping proofs of a two-parameter integral "
-            "identity, with rational log approximants and a quadrature oracle."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (text, flags) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=text)
-        for flag in flags.split():
-            command_parser.add_argument(f"--{flag}", **_OPTIONS[flag])
-    return parser
-
-
 # (option name, valid(value), message) for each option that has a bound
 _BOUNDS = (
     ("n_max", lambda v: v >= 0, "--n-max must be nonnegative"),
@@ -93,6 +69,16 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Para
     return ParameterPair(args.a, args.b)
 
 
+def _check_writable(out: str | None, *suffixes: str) -> None:
+    """Raise the OSError open(path, "w") would for out and each out + suffix
+    that names a directory or lies in a missing one, creating nothing."""
+    for path in [] if out is None else [out] + [out + suffix for suffix in suffixes]:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -102,6 +88,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_prove(params: ParameterPair, args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     proof = prove_identity(params, mode=args.mode, extra_n=args.n_max)
     report = sys.stderr if args.out is None else sys.stdout  # keep stdout for the record
     print(f"params: a={params.a}, b={params.b}  mode: {args.mode}", file=report)
@@ -154,20 +141,19 @@ def cmd_derive(params: ParameterPair, args: argparse.Namespace) -> int:
 
 
 def cmd_approx(params: ParameterPair, args: argparse.Namespace) -> int:
+    _check_writable(args.out, ".dat")
     rows = approximant_table(params, args.n_max, args.precision_bits)
-    csv_text = rows_to_csv(rows, args.precision_bits)
-    _emit(csv_text, args.out)
+    _emit(rows_to_csv(rows, args.precision_bits), args.out)
     if args.out is not None:
         import mpmath
 
         # gnuplot-compatible companion: n against the approximation error
-        with open(args.out + ".dat", "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(f"{row.n} {mpmath.nstr(row.abs_error, 17)}\n")
+        _emit("".join(f"{row.n} {mpmath.nstr(row.abs_error, 17)}\n" for row in rows), args.out + ".dat")
     return 0
 
 
 def cmd_quad(params: ParameterPair, args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     lines = ["family n exact quadrature abs_diff subdivisions status"]
     for side, fam in (
         ("left", make_left_family(params)),
@@ -191,22 +177,43 @@ def cmd_quad(params: ParameterPair, args: argparse.Namespace) -> int:
     return 0
 
 
+# each subcommand: its help, exactly the options it reads, and its handler
+_COMMANDS = {
+    "prove": ("run the full proof pipeline", "a b n-max mode out", cmd_prove),
+    "derive": ("discover recurrence and certificates", "a b", cmd_derive),
+    "approx": ("emit the approximant table as CSV", "a b n-max precision-bits out", cmd_approx),
+    "quad": ("compare exact values against quadrature", "a b n-max tol out", cmd_quad),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="telescopic",
+        description=(
+            "Exact creative-telescoping proofs of a two-parameter integral "
+            "identity, with rational log approximants and a quadrature oracle."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, flags, handler) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=text)
+        for flag in flags.split():
+            command_parser.add_argument(f"--{flag}", **_OPTIONS[flag])
+        command_parser.set_defaults(handler=handler)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     params = _validate(parser, args)
-    handlers = {
-        "prove": cmd_prove,
-        "derive": cmd_derive,
-        "approx": cmd_approx,
-        "quad": cmd_quad,
-    }
     try:
-        return handlers[args.command](params, args)
+        return args.handler(params, args)
     except TelescopicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # from writing --out or its .dat companion
+    except OSError as exc:  # from checking or writing --out or its .dat companion
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 

@@ -31,9 +31,9 @@ single rational function (integrate_01), one pass finds the poles: a
 single gcd gives the squarefree part of the denominator, its rational
 roots are found directly, and the Taylor shift of the denominator at
 each root shows that root's multiplicity; one kernel then computes each
-principal part as a power series in integers, with O(M^2) products for
-a pole of order M.  Whether a pole lies in [0, 1] is decided before
-that search, from the signs of the denominator's coefficients or else a
+principal part by one long division of integer power series, with
+O(M d + M) products for a pole of order M and a cofactor of degree d.
+Whether a pole lies in [0, 1] is decided before that search, from the signs of the denominator's coefficients or else a
 Sturm chain.  For a whole integrand family, _family_integrals (behind
 IntegrandFamily.integrals) takes the family's denominator Q alone and
 finds the roots, their gaps and the factored logs once.  Each member is hyperexponential, so at each root its
@@ -161,17 +161,6 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def _check_log_base(p: int) -> None:
-    """ValueError unless p is an int that factorize certifies prime."""
-    if type(p) is not int:
-        raise ValueError(f"log base {p!r} is not an int")
-    try:
-        if p < 2 or factorize(p) != {p: 1}:
-            raise ValueError(f"log base {p} is not a prime")
-    except FactorBoundExceededError as exc:
-        raise ValueError(f"log base {p} is not a certified prime") from exc
-
-
 # -- the canonical exact value type -------------------------------------------
 
 
@@ -185,7 +174,7 @@ class LogCombination:
     form is unique, so two values are mathematically equal iff their
     fields are, and == and hash compare tuples.  The ``terms`` property
     builds the reduced (prime, Fraction) pairs on access.  The constructor
-    raises ValueError for a base that factorize does not certify prime.
+    is _log_value's, which refuses a base factorize does not certify prime.
     """
 
     constant: Fraction
@@ -194,18 +183,10 @@ class LogCombination:
     _den: int
 
     def __init__(self, constant=0, terms: Iterable = ()):
-        merged: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for prime, coeff in items:
-            coeff = _to_fraction(coeff)
-            merged[prime] = merged[prime] + coeff if prime in merged else coeff
-        for prime in merged:
-            _check_log_base(prime)
-        primes = sorted(p for p, c in merged.items() if c)
-        # over the lcm of the reduced denominators, gcd(den, *ints) = 1
-        den = math.lcm(*(merged[p].denominator for p in primes))
-        ints = tuple(merged[p].numerator * (den // merged[p].denominator) for p in primes)
-        self._set(_to_fraction(constant), tuple(primes), ints, den)
+        coeffs = [(p, _to_fraction(c)) for p, c in items]
+        value = _log_value(_to_fraction(constant), [(p, c.numerator, c.denominator) for p, c in coeffs])
+        self._set(value.constant, value._primes, value._ints, value._den)
 
     def _set(self, constant: Fraction, primes: tuple, ints: tuple, den: int) -> None:
         object.__setattr__(self, "constant", constant)
@@ -280,6 +261,26 @@ class LogCombination:
             else:
                 pieces.append(f"{'+ ' if c >= 0 else '- '}{abs(c)}*log({p})")
         return " ".join(pieces)
+
+
+def _log_value(constant: Fraction, terms: list[tuple[int, int, int]]) -> LogCombination:
+    """constant + sum of num/den * log(base) over the (base, num, den) terms,
+    den nonzero, in canonical form.  Every value built from outside data
+    comes here: ValueError for a base that is not an int factorize certifies
+    prime, even one whose coefficients cancel."""
+    for p in dict.fromkeys(p for p, _, _ in terms):
+        if type(p) is not int:
+            raise ValueError(f"log base {p!r} is not an int")
+        try:
+            if p < 2 or factorize(p) != {p: 1}:
+                raise ValueError(f"log base {p} is not a prime")
+        except FactorBoundExceededError as exc:
+            raise ValueError(f"log base {p} is not a certified prime") from exc
+    den = math.lcm(*(d for _, _, d in terms))
+    coeffs: dict[int, int] = {}
+    for p, n, d in terms:
+        coeffs[p] = coeffs.get(p, 0) + n * (den // d)
+    return LogCombination._reduce(constant, coeffs, den)
 
 
 def _log_terms(value: Fraction) -> list[tuple[int, int]]:
@@ -481,23 +482,21 @@ def _principal_part(root: Fraction, order: int, shifted_den: Poly, numer: Poly, 
 
     Its coefficients are the series of A(y + root)/B(y) to order - 1.  The
     series runs in integers: B(y) = B(0) * prod (1 - y/s)^k over s = rho - root
-    for the other roots rho, so with P = gap, B(Pz)/B(0) has integer
-    coefficients and constant term 1, and so has its reciprocal series.
-    The coefficient of y^t is then an integer over B(0) * P^t, the size
-    the exact coefficient needs.
+    for the other roots rho, so with P = gap, S(z) = B(Pz)/B(0) = 1 + s_1 z + ...
+    has integer coefficients, and one long division of A(Pz) by S(z) gives
+    integers w_t = a_t P^t - sum_(1 <= j <= t) s_j w_(t-j) (none to sum when
+    S = 1).  The coefficient of y^t is w_t over B(0) * P^t, the size the
+    exact coefficient needs.
     """
     basis = shifted_den._ints[order:]  # B(y), over shifted_den._den
     b0 = basis[0]
-    scaled_numer, scaled_basis, inverse, ws = [], [1], [1], []  # A(Pz), B(Pz)/B(0), 1/that
+    scaled_basis, ws = [], []  # s_1, s_2, ... and w_0, w_1, ...
     power = 1  # P^t
     for t in range(order):
-        scaled_numer.append(numer._ints[t] * power if t < len(numer._ints) else 0)
-        if t:
-            if t < len(basis):
-                scaled_basis.append(basis[t] * power // b0)
-            inverse.append(-sum(map(mul, scaled_basis[1:], reversed(inverse))))
-        # the z^t coefficient of A(Pz) / (B(Pz)/B(0))
-        ws.append(sum(map(mul, scaled_numer, reversed(inverse))))
+        if 0 < t < len(basis):
+            scaled_basis.append(basis[t] * power // b0)
+        scaled_numer = numer._ints[t] * power if t < len(numer._ints) else 0
+        ws.append(scaled_numer - sum(map(mul, scaled_basis, reversed(ws))))
         power *= gap
     return PrincipalPart(root, Fraction(shifted_den._den, numer._den * b0), gap, ws)
 

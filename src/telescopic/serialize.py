@@ -19,10 +19,10 @@ refuses a record that their re-encoding does not reproduce (key order
 and `tool_version` aside), so no edited derived entry and no
 non-canonical number passes.  That check is what refuses a
 non-canonical spelling, so every decoder reads each number as the
-integers it spells, with no Fraction parse; the LogCombination decoder
-refuses a log base that is not prime, which the re-encoding check would
-pass.  A record decodes each distinct value once, keyed by the strings
-that spell it.
+integers it spells, with no Fraction parse.  Decoded values go through
+the checked integration._log_value, which refuses a log base that is
+not prime, as the re-encoding check would pass one.  A record decodes
+each distinct value once, keyed by the strings that spell it.
 `proof_to_json` writes the text of `json.dumps(proof_to_obj(p),
 indent=2)` in one recursive pass (the stdlib's indenting encoder is pure
 Python, and took a third of the time), and the text of each checked
@@ -40,7 +40,7 @@ from typing import Callable
 
 from ._version import __version__
 from .families import IntegrandFamily, ParameterPair, make_left_family, make_right_family
-from .integration import LogCombination, _check_log_base
+from .integration import LogCombination, _log_value
 from .polynomials import Poly
 from .prove import ProofObject
 from .ratfuncs import RatFunc
@@ -88,17 +88,10 @@ def logcomb_to_obj(value: LogCombination) -> dict:
 
 def logcomb_from_obj(obj: dict) -> LogCombination:
     """The value the object spells, each number read as integers with no
-    Fraction parse; ValueError for a log base that factorize does not certify
-    prime.  A non-canonical spelling is left to proof_from_obj's check."""
+    Fraction parse, built by the checked _log_value.  A non-canonical
+    spelling is left to proof_from_obj's check."""
     constant = Fraction(*_ratio_from_str(obj["constant"]))
-    terms = [(int(t["prime"]), _ratio_from_str(t["coeff"])) for t in obj["terms"]]
-    for p in {p for p, _ in terms}:
-        _check_log_base(p)
-    den = math.lcm(*(d for _, (_, d) in terms))
-    coeffs: dict[int, int] = {}
-    for p, (n, d) in terms:
-        coeffs[p] = coeffs.get(p, 0) + n * (den // d)
-    return LogCombination._reduce(constant, coeffs, den)
+    return _log_value(constant, [(int(t["prime"]), *_ratio_from_str(t["coeff"])) for t in obj["terms"]])
 
 
 def params_to_obj(params: ParameterPair) -> dict:

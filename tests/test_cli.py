@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import telescopic
+from conftest import count_calls
 from telescopic import (
     AnsatzExhaustedError,
     IntegrandFamily,
@@ -195,12 +196,17 @@ def test_usage_errors_exit_2(argv, capsys):
 
 @pytest.mark.parametrize("where", ["missing_directory", "directory"])
 @pytest.mark.parametrize("command", ["prove", "approx", "quad"])
-def test_unwritable_out_exits_2(command, where, tmp_path, capsys):
+def test_unwritable_out_exits_2(command, where, tmp_path, monkeypatch, capsys):
+    # the path is checked before any work: no summary, no computation, no file
+    calls = count_calls(monkeypatch, "prove_identity", "approximant_table", "quad_01")
     target = tmp_path / "missing" / "out" if where == "missing_directory" else tmp_path
-    code, _, err = run([command, "--a", "2", "--b", "1", "--n-max", "1", "--out", str(target)], capsys)
+    code, out, err = run([command, "--a", "2", "--b", "1", "--n-max", "1", "--out", str(target)], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in err
+    assert out == ""
+    assert not calls
+    assert not any(tmp_path.iterdir())
 
 
 def test_unwritable_dat_companion_exits_2(tmp_path, capsys):
@@ -209,6 +215,7 @@ def test_unwritable_dat_companion_exits_2(tmp_path, capsys):
     code, _, err = run(["approx", "--a", "2", "--b", "1", "--n-max", "1", "--out", str(target)], capsys)
     assert code == 2
     assert err == f"error: cannot write {target}.dat: Is a directory\n"
+    assert not target.exists()  # the CSV is not written ahead of its companion
 
 
 # -- derive ----------------------------------------------------------------------
@@ -252,7 +259,7 @@ def test_derive_exhaustion_exits_1(monkeypatch, capsys):
 def test_every_option_is_a_flag_of_some_subcommand():
     # _validate skips names absent from the namespace, so a flag dropped
     # from _COMMANDS would leave its option and bound behind silently
-    flags = {flag for _, names in cli._COMMANDS.values() for flag in names.split()}
+    flags = {flag for _, names, _ in cli._COMMANDS.values() for flag in names.split()}
     assert flags == set(cli._OPTIONS)
     assert {name for name, _, _ in cli._BOUNDS} <= {flag.replace("-", "_") for flag in flags}
 

@@ -471,6 +471,21 @@ def test_partial_fractions_round_trip_randomized():
             continue
         again = partial_fractions(f)
         assert again.reassemble() == f
+    # a second pass at poles of order 4..12, where the principal part's
+    # integer division runs long: the decomposition gives back each term
+    candidates = sorted({Fraction(u, v) for u in range(-5, 6) for v in (1, 2, 3)})
+    for _ in range(30):
+        terms = []
+        for root in rng.sample(candidates, rng.randint(2, 3)):
+            order = rng.randint(4, 12)
+            for mult in range(1, order + 1):
+                coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                if coeff or mult == order:
+                    terms.append(PoleTerm(root, mult, coeff or Fraction(1)))
+        form = PartialFractionForm(random_poly(rng, max_degree=2), tuple(terms))
+        again = partial_fractions(form.reassemble())
+        assert again.polynomial_part == form.polynomial_part
+        assert sorted(again.pole_terms) == sorted(form.pole_terms)
 
 
 def test_partial_fractions_requires_rational_roots():

@@ -69,6 +69,33 @@ def test_families_drives_the_integration_kernel_through_one_function():
     assert imported & kernel == set()
 
 
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "integration.py"], ids=lambda path: path.name
+)
+def test_values_from_outside_data_are_built_only_through_the_checked_routine(path):
+    # LogCombination._reduce skips the log-base check, so outside
+    # integration.py a value is built by the constructor or _log_value
+    tree = _parse(path)
+    aliases = {"LogCombination"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "LogCombination" and alias.asname
+    }
+    named = {
+        "LogCombination._reduce"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_reduce"
+        and isinstance(node.value, ast.Name) and node.value.id in aliases
+    } | {
+        "_check_log_base"
+        for node in ast.walk(tree)
+        if "_check_log_base" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    }
+    assert named == set()
+
+
 _CLI = "import runpy\nrunpy.run_module('telescopic', run_name='__main__')"
 
 

@@ -226,6 +226,42 @@ def test_logcomb_from_obj_refuses_log_bases_that_are_not_prime(base, reason):
     assert logcomb_from_obj(prime) == LogCombination(0, {999999999989: 1})
 
 
+@pytest.mark.parametrize(
+    "terms, refusal",
+    [
+        ([(4, 1, 1), (4, -1, 1)], "log base 4 is not a prime"),  # refused though it cancels
+        ([(2, 1, 2), (9, 1, 2), (9, -1, 2)], "log base 9 is not a prime"),
+        ([(-3, 1, 1)], "log base -3 is not a prime"),
+        ([(PSI_13, 1, 1)], f"log base {PSI_13} is not a certified prime"),
+        ([(5, 2, -4)], None),
+        ([(3, 1, 2), (2, 1, 3), (3, 1, 3)], None),  # a repeated prime merges
+        ([(2, 1, 2), (7, 3, 9), (2, -1, 2)], None),  # ... and drops when it cancels
+        ([], None),
+    ],
+)
+def test_constructor_and_decoder_agree(terms, refusal):
+    # the same (base, num, den) terms, given to LogCombination as Fractions and
+    # spelled "num/den" for the decoder: the same value or the same refusal
+    obj = {"constant": "-1/3", "terms": [{"prime": str(p), "coeff": f"{n}/{d}"} for p, n, d in terms]}
+    build = [
+        lambda: LogCombination(Fraction(-1, 3), [(p, Fraction(n, d)) for p, n, d in terms]),
+        lambda: logcomb_from_obj(obj),
+    ]
+    if refusal is not None:
+        for entry_point in build:
+            with pytest.raises(ValueError) as info:
+                entry_point()
+            assert str(info.value) == refusal
+        return
+    merged = {}
+    for p, n, d in terms:
+        merged[p] = merged.get(p, 0) + Fraction(n, d)
+    constructed, decoded = (entry_point() for entry_point in build)
+    assert constructed == decoded
+    assert decoded.constant == Fraction(-1, 3)
+    assert dict(decoded.terms) == {p: c for p, c in merged.items() if c}
+
+
 _PARAMS = '"params": {"a": "2", "b": "1"}'
 _ORDER = '{"certificates": {}, ' + _PARAMS + ', "recurrence": {"order": %s, "coeffs": []}}'
 _CHECK_N = (
