@@ -52,7 +52,7 @@ from fractions import Fraction
 from .errors import SpanError, TelescopicError
 from .families import ParameterPair, make_right_family
 from .integration import LogCombination, integrate_01, log_of_rational, logcomb_to_float
-from .telescoping import closed_form_recurrence
+from .telescoping import Recurrence, closed_form
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,10 +117,11 @@ def _lcm_steps(n_target: int) -> list[int]:
 
 
 def _integer_pairs(
-    params: ParameterPair, K: int, steps: list[int], p1: Fraction, q1: Fraction
+    rec: Recurrence, K: int, steps: list[int], p1: Fraction, q1: Fraction
 ) -> tuple[list[int], list[int]]:
     """P_n = K^n p_n and Q_n = K^n d_n q_n for n = 0..len(steps) - 1,
-    from (p_1, q_1) and the lcm steps e_m = d_m / d_(m-1).
+    from (p_1, q_1), the normalized recurrence rec that p_n and q_n
+    follow, and the lcm steps e_m = d_m / d_(m-1).
 
     Each step is one exact integer division by the leading recurrence
     coefficient; a remainder means K or d_n does not clear the
@@ -130,7 +131,6 @@ def _integer_pairs(
     if P1.denominator != 1 or Q1.denominator != 1:
         raise TelescopicError(f"K = {K} does not clear the denominators at n=1")
     ps, qs = [1, P1.numerator], [0, Q1.numerator]
-    rec, _ = closed_form_recurrence(params).normalized()
     for n in range(len(steps) - 2):
         # the normalized coefficients are integers over denominator 1: one integer Horner each
         c0, c1, c2 = [poly._horner(n, 1)[0] for poly in rec.coeffs]
@@ -213,7 +213,8 @@ def approximant_table(
     p1, q1 = decompose_against(next(integrals), lam)
     K = _normalising_factor(params)
     steps = _lcm_steps(n_max + 1)
-    ps, qs = _integer_pairs(params, K, steps, p1, q1)
+    rec, _ = closed_form(right)[0].normalized()  # the left family's too: same U0 and D0
+    ps, qs = _integer_pairs(rec, K, steps, p1, q1)
     pairs = []
     forms = []  # p_n Lambda - q_n = (P_n d_n Lambda - Q_n) / (K^n d_n)
     power, lcm = 1, 1  # K^n and d_n

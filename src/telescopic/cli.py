@@ -71,11 +71,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Para
 
 def _check_writable(out: str | None, *suffixes: str) -> None:
     """Raise the OSError open(path, "w") would for out and each out + suffix
-    that names a directory or lies in a missing one, creating nothing."""
+    that is empty, names a directory or lies in a missing one, creating nothing."""
     for path in [] if out is None else [out] + [out + suffix for suffix in suffixes]:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 

@@ -223,12 +223,8 @@ class LogCombination:
     def __add__(self, other) -> "LogCombination":
         if not isinstance(other, LogCombination):
             return NotImplemented
-        g = math.gcd(self._den, other._den)
-        lift, other_lift = other._den // g, self._den // g
-        coeffs = {p: c * lift for p, c in zip(self._primes, self._ints)}
-        for p, c in zip(other._primes, other._ints):
-            coeffs[p] = coeffs.get(p, 0) + c * other_lift
-        return LogCombination._reduce(self.constant + other.constant, coeffs, lift * self._den)
+        terms = [(p, c, value._den) for value in (self, other) for p, c in zip(value._primes, value._ints)]
+        return _merge_logs(self.constant + other.constant, terms)
 
     def __sub__(self, other) -> "LogCombination":
         if not isinstance(other, LogCombination):
@@ -276,6 +272,11 @@ def _log_value(constant: Fraction, terms: list[tuple[int, int, int]]) -> LogComb
                 raise ValueError(f"log base {p} is not a prime")
         except FactorBoundExceededError as exc:
             raise ValueError(f"log base {p} is not a certified prime") from exc
+    return _merge_logs(constant, terms)
+
+
+def _merge_logs(constant: Fraction, terms: list[tuple[int, int, int]]) -> LogCombination:
+    """_log_value without the base check, for terms of checked values."""
     den = math.lcm(*(d for _, _, d in terms))
     coeffs: dict[int, int] = {}
     for p, n, d in terms:

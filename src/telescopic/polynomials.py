@@ -414,16 +414,17 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 
 def sturm_root_count(p: Poly, lo: Scalar, hi: Scalar) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi].
+    """Number of distinct real roots of p in the half-open interval (lo, hi],
+    for lo <= hi.
 
     Standard Sturm chain on the squarefree part; exact over Fraction.
     """
     if p.is_zero():
         raise ValueError("root count of the zero polynomial")
-    if p.degree() == 0:
-        return 0
     lo = _to_fraction(lo)
     hi = _to_fraction(hi)
+    if lo > hi:
+        raise ValueError(f"root count over (lo, hi] needs lo <= hi, not {lo} > {hi}")
     chain = [p.exact_div(poly_gcd(p, p.derivative()))]
     chain.append(chain[0].derivative())
     while not chain[-1].is_zero() and chain[-1].degree() > 0:

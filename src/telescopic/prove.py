@@ -150,10 +150,7 @@ def verify_substitution_proof(
 
 
 def _leading_coefficient_degeneracy(rec: Recurrence) -> str | None:
-    lead = rec.coeffs[-1]
-    if lead.degree() == 0:
-        return None
-    bad = [root for root, _ in rational_roots(lead) if root >= 0 and root.denominator == 1]
+    bad = [root for root, _ in rational_roots(rec.coeffs[-1]) if root >= 0 and root.denominator == 1]
     if bad:
         return (
             "degenerate: leading recurrence coefficient vanishes at "

@@ -178,12 +178,10 @@ class RatFunc:
 
     # -- display -----------------------------------------------------------------
 
-    def to_str(self, var: str = "x") -> str:
+    def to_str(self) -> str:
         if self.is_polynomial():
-            return self.num.to_str(var)
-        num = self.num.to_str(var)
-        den = self.den.to_str(var)
-        return f"({num})/({den})"
+            return self.num.to_str()
+        return f"({self.num.to_str()})/({self.den.to_str()})"
 
     def __str__(self) -> str:
         return self.to_str()

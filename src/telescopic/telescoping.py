@@ -93,8 +93,8 @@ class Recurrence:
         rec = Recurrence(self.order, tuple(scale * c for c in self.coeffs))
         return rec, scale
 
-    def to_str(self, var: str = "n") -> str:
-        return "[" + ", ".join(c.to_str(var) for c in self.coeffs) + "]"
+    def to_str(self) -> str:
+        return "[" + ", ".join(c.to_str("n") for c in self.coeffs) + "]"
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,6 @@ def solve_nullspace(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction
     ncols = len(matrix[0])
     if any(len(row) != ncols for row in matrix):
         raise ValueError("matrix rows must have equal length")
-    if ncols == 0:
-        return []
     work = [_int_coeffs(row) for row in matrix if any(row)]
     pivots = _echelon(work, ncols)
     basis = []

@@ -11,7 +11,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import random_params
+from conftest import count_calls, random_params
 from telescopic import (
     ApproximantRow,
     LogCombination,
@@ -229,13 +229,20 @@ def test_table_csv_golden_digests(params, n_max, precision_bits, digest):
 BENCHMARK_HEADS = (2, 3, 4, 5, 7, 8, 9, 13, 16)
 
 
+def test_table_reads_its_relation_from_the_right_family(monkeypatch):
+    # both families have U0 = 2ab + a + b and D0 = (a - b)^2, so one recurrence
+    calls = count_calls(monkeypatch, "make_left_family")
+    approximant_table(ParameterPair(2, 1), 20)
+    assert calls["make_left_family"] == 0
+
+
 def _integer_pairs(params, n_target):
     right = make_right_family(params)
     lam = integrate_01(right.at(0))
     p1, q1 = decompose_against(integrate_01(right.at(1)), lam)
     K = telescopic.approximants._normalising_factor(params)
     steps = telescopic.approximants._lcm_steps(n_target)
-    return telescopic.approximants._integer_pairs(params, K, steps, p1, q1)
+    return telescopic.approximants._integer_pairs(closed_form_recurrence(params).normalized()[0], K, steps, p1, q1)
 
 
 @pytest.mark.parametrize(

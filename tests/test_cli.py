@@ -194,12 +194,12 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().err  # a diagnostic was printed
 
 
-@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+@pytest.mark.parametrize("where", ["missing_directory", "directory", "empty"])
 @pytest.mark.parametrize("command", ["prove", "approx", "quad"])
 def test_unwritable_out_exits_2(command, where, tmp_path, monkeypatch, capsys):
     # the path is checked before any work: no summary, no computation, no file
     calls = count_calls(monkeypatch, "prove_identity", "approximant_table", "quad_01")
-    target = tmp_path / "missing" / "out" if where == "missing_directory" else tmp_path
+    target = {"missing_directory": tmp_path / "missing" / "out", "directory": tmp_path, "empty": ""}[where]
     code, out, err = run([command, "--a", "2", "--b", "1", "--n-max", "1", "--out", str(target)], capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write {target}: ")

@@ -208,11 +208,19 @@ def test_sturm_count_known_roots():
     assert sturm_root_count(p, Fraction(1, 2), 1) == 1  # (1/2, 1] excludes 1/2
     assert sturm_root_count(p, 0, Fraction(1, 2)) == 2
     assert sturm_root_count(Poly([2, 0, 1]), -10, 10) == 0  # x^2 + 2
+    assert sturm_root_count(Poly([3]), -10, 10) == sturm_root_count(Poly([-1]), 0, 1) == 0
 
 
 def test_sturm_counts_distinct_roots_of_repeated_factor():
     p = Poly.from_roots([Fraction(1, 2)]) ** 3
     assert sturm_root_count(p, 0, 1) == 1
+
+
+def test_sturm_count_needs_lo_at_most_hi():
+    p = Poly([-1, 0, 4])  # roots -1/2 and 1/2
+    assert sturm_root_count(p, Fraction(1, 2), Fraction(1, 2)) == 0  # (1/2, 1/2] is empty
+    with pytest.raises(ValueError, match="lo <= hi"):
+        sturm_root_count(p, 1, 0)
 
 
 def test_sturm_random_linear_products():

@@ -227,6 +227,16 @@ def test_prove_identity_random_pairs_both_modes():
                 assert l_val == r_val
 
 
+def test_constant_leading_coefficient_has_no_degeneracy():
+    from telescopic.prove import _leading_coefficient_degeneracy
+
+    lower = (Poly([1, 1]), Poly([-3, -2]))
+    assert _leading_coefficient_degeneracy(Recurrence(2, lower + (Poly([5]),))) is None
+    assert _leading_coefficient_degeneracy(Recurrence(2, lower + (Poly([-1]),))) is None
+    reason = _leading_coefficient_degeneracy(Recurrence(2, lower + (Poly([-3, 1]),)))
+    assert reason.endswith("vanishes at n=3, so forward propagation breaks")
+
+
 def test_prove_identity_degenerate_forged_params():
     # bypass ParameterPair validation to model corrupted inputs
     forged = object.__new__(ParameterPair)

@@ -351,6 +351,11 @@ def test_nullspace_canonical_scaling():
     assert basis == [(2, -3)]
 
 
+def test_nullspace_of_zero_columns_is_empty():
+    assert solve_nullspace([[]]) == []
+    assert solve_nullspace([[], []]) == []
+
+
 def test_nullspace_rejects_ragged_rows():
     with pytest.raises(ValueError):
         solve_nullspace([[Fraction(1)], [Fraction(1), Fraction(2)]])
